@@ -47,7 +47,7 @@ from .sampling import (
 )
 from .series import TruncatedEGF
 from .tables import Reduction, TableMode, oracle_moment
-from .verify import MC_SAMPLES, MC_SEED, run_suite
+from .verify import MC_SAMPLES, MC_SEED, SUITES, run_suite
 
 MAX_SERIES_ORDER = 64
 
@@ -338,8 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_exhaustive)
 
     p = sub.add_parser("verify", help="cross-check suites")
-    p.add_argument("--suite", choices=("small", "series", "montecarlo", "all"),
-                   default="all")
+    p.add_argument("--suite", choices=tuple(SUITES), default="all")
     p.add_argument("--seed", type=int, default=MC_SEED)
     p.add_argument("--samples", type=int, default=MC_SAMPLES)
     p.add_argument("--workers", type=int, default=os.cpu_count() or 1)

@@ -6,7 +6,11 @@ class BasisMismatchError(ValueError):
 
 
 class OrderCapacityError(ValueError):
-    """Raised when a moment symbol exceeds the configured maximum order."""
+    """Raised when a moment symbol exceeds the configured maximum order.
+
+    Also raised when a polynomial's grading weight would reach the packing
+    limit of `detmom.poly`.
+    """
 
 
 class MissingMomentError(ValueError):

@@ -9,15 +9,38 @@ supported:
 
 mu_1 is identically zero and is never represented.
 
-A polynomial stores a mapping from dense exponent vectors to nonzero rational
-coefficients.  Exponent vectors have fixed length ``max_order + 1``: slot 0
+Every monomial has an exponent vector of length ``max_order + 1``: slot 0
 holds the power of the mean m_1, slot r (2 <= r <= max_order) the power of the
 order-r symbol of the basis, and slot 1 is always zero.  The grading weight of
 a monomial is ``exp[0] + sum(r * exp[r] for r >= 2)``; E[det(A)^k] is
-homogeneous of weight k*n in this grading.
+homogeneous of weight k*n in this grading.  `MomentPolynomial.terms` and the
+JSON form show these dense vectors.
 
-Coefficients are `fractions.Fraction`, which keeps every value reduced with a
-positive denominator and a unique zero, so all arithmetic here is exact.
+Inside, a monomial is one packed integer key, ``sum(exp[s] << (SLOT_BITS * s))``
+(Kronecker substitution), so multiplying two monomials is one integer
+addition, and trailing empty slots add nothing to the key: polynomials that
+differ only in ``max_order`` have equal keys.  Comparing keys as integers
+compares exponents from the highest slot down, which gives the canonical
+term order.
+
+A key holds only as long as no exponent reaches ``2**SLOT_BITS``; a larger one
+would carry into the next slot.  Every polynomial therefore carries an upper
+bound on the grading weights of its terms, which also bounds each exponent.
+Any operation whose result could reach `WEIGHT_LIMIT` raises
+`OrderCapacityError` before it starts.
+
+Coefficients are exact: a Python ``int`` for an integral value and a
+`fractions.Fraction` only for a value that is not, so the integer polynomials
+the formulas produce never touch `Fraction` arithmetic.  `terms` and
+`constant_term` still return `Fraction` values.
+
+The public constructors (``MomentPolynomial(...)``, `MomentPolynomial.monomial`
+and `MomentPolynomial.from_json_dict`) check their input: exponent vector
+length, signs, the unused slot 1, the packing limit, and rational
+coefficients; `MomentPolynomial.zero` and `MomentPolynomial.constant` have no
+exponents to check.  Arithmetic, conversion and the structural maps build
+their results from terms that are already checked, through a trusted
+constructor that checks nothing again.
 """
 
 from __future__ import annotations
@@ -35,6 +58,15 @@ DEFAULT_MAX_ORDER = 8
 
 Rational = Union[int, Fraction]
 ExpVector = tuple[int, ...]
+
+# Bits per exponent slot of a packed key, and the bound on grading weights
+# (hence on every exponent) that keeps the slots apart.
+SLOT_BITS = 16
+WEIGHT_LIMIT = 1 << SLOT_BITS
+_MASK = WEIGHT_LIMIT - 1
+
+# Packed terms: key -> nonzero int, or Fraction when the value is not integral.
+Terms = dict[int, Rational]
 
 
 class Basis(Enum):
@@ -75,20 +107,80 @@ class MomentSymbol:
         return Basis.RAW if self.kind is SymbolKind.RAW else Basis.CENTRAL
 
 
-def _weight(exp: ExpVector) -> int:
-    return exp[0] + sum(r * e for r, e in enumerate(exp) if r >= 2 and e)
+# -- packed keys -----------------------------------------------------------
 
 
-def _sort_key(exp: ExpVector) -> tuple[int, ExpVector]:
+def _pack(exp: ExpVector) -> int:
+    key = 0
+    for slot, e in enumerate(exp):
+        key |= e << (SLOT_BITS * slot)
+    return key
+
+
+def _unpack(key: int, width: int) -> ExpVector:
+    exp = []
+    for _ in range(width):
+        exp.append(key & _MASK)
+        key >>= SLOT_BITS
+    return tuple(exp)
+
+
+def _key_weight(key: int) -> int:
+    weight = key & _MASK
+    key >>= 2 * SLOT_BITS  # slot 1 is always empty
+    r = 2
+    while key:
+        weight += r * (key & _MASK)
+        key >>= SLOT_BITS
+        r += 1
+    return weight
+
+
+def _sort_key(key: int) -> tuple[int, int]:
     # Canonical term order: grading weight first, then exponents compared from
-    # the highest-order symbol down; terms are listed in descending key order.
-    return (_weight(exp), tuple(reversed(exp)))
+    # the highest-order symbol down, which is the order of the packed keys;
+    # terms are listed in descending key order.
+    return (_key_weight(key), key)
+
+
+def _check_limit(weight: int) -> None:
+    if weight >= WEIGHT_LIMIT:
+        raise OrderCapacityError(
+            f"grading weight {weight} reaches the packing limit {WEIGHT_LIMIT}"
+        )
+
+
+def _exact(c: Rational) -> Rational:
+    """``c`` as an int when it is integral."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _clean(terms: Terms) -> Terms:
+    """Drop zero coefficients and store integral values as int."""
+    return {k: c if type(c) is int else _exact(c) for k, c in terms.items() if c}
+
+
+def _mul_terms(a: Terms, b: Terms) -> Terms:
+    """Product of two packed term maps; may hold zeros and integral Fractions."""
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        ((k1, c1),) = a.items()
+        return {k1 + k2: c1 * c2 for k2, c2 in b.items()}
+    out: Terms = {}
+    get = out.get
+    b_items = list(b.items())
+    for k1, c1 in a.items():
+        for k2, c2 in b_items:
+            k = k1 + k2
+            out[k] = get(k, 0) + c1 * c2
+    return out
 
 
 class MomentPolynomial:
     """Immutable exact polynomial in moment symbols of a fixed basis."""
 
-    __slots__ = ("_basis", "_max_order", "_terms")
+    __slots__ = ("_basis", "_max_order", "_terms", "_top")
 
     def __init__(
         self,
@@ -99,7 +191,8 @@ class MomentPolynomial:
         if max_order < 2:
             raise OrderCapacityError("max_order must be at least 2")
         width = max_order + 1
-        clean: dict[ExpVector, Fraction] = {}
+        summed: dict[int, Fraction] = {}
+        top = 0
         items = terms.items() if isinstance(terms, Mapping) else terms
         for exp, coef in items:
             exp = tuple(exp)
@@ -114,23 +207,45 @@ class MomentPolynomial:
             c = Fraction(coef)
             if c == 0:
                 continue
-            clean[exp] = clean.get(exp, Fraction(0)) + c
+            weight = exp[0] + sum(r * e for r, e in enumerate(exp) if r >= 2)
+            _check_limit(weight)
+            top = max(top, weight)
+            key = _pack(exp)
+            summed[key] = summed.get(key, 0) + c
         self._basis = basis
         self._max_order = max_order
-        self._terms = {e: c for e, c in clean.items() if c != 0}
+        self._terms = _clean(summed)
+        self._top = top
+
+    @classmethod
+    def _make(cls, basis: Basis, terms: Terms, max_order: int, top: int) -> "MomentPolynomial":
+        """Trusted constructor: ``terms`` are clean and their weights at most ``top``."""
+        p = object.__new__(cls)
+        p._basis = basis
+        p._max_order = max_order
+        p._terms = terms
+        p._top = top if terms else 0
+        return p
+
+    def _like(self, terms: Terms, top: int | None = None) -> "MomentPolynomial":
+        return MomentPolynomial._make(
+            self._basis, terms, self._max_order, self._top if top is None else top
+        )
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, basis: Basis, max_order: int = DEFAULT_MAX_ORDER) -> "MomentPolynomial":
-        return cls(basis, {}, max_order)
+        return cls.constant(0, basis, max_order)
 
     @classmethod
     def constant(
         cls, value: Rational, basis: Basis, max_order: int = DEFAULT_MAX_ORDER
     ) -> "MomentPolynomial":
-        exp = (0,) * (max_order + 1)
-        return cls(basis, {exp: Fraction(value)}, max_order)
+        if max_order < 2:
+            raise OrderCapacityError("max_order must be at least 2")
+        c = _exact(Fraction(value))
+        return cls._make(basis, {0: c} if c else {}, max_order, 0)
 
     @classmethod
     def monomial(
@@ -171,30 +286,28 @@ class MomentPolynomial:
 
     def terms(self) -> Iterator[tuple[ExpVector, Fraction]]:
         """Terms in canonical order (descending grading weight, then lex)."""
-        for exp in sorted(self._terms, key=_sort_key, reverse=True):
-            yield exp, self._terms[exp]
+        for exp, coef in self._ordered():
+            yield exp, Fraction(coef)
+
+    def _ordered(self) -> list[tuple[ExpVector, Rational]]:
+        # `terms` with the stored int or Fraction coefficients.
+        width = self._max_order + 1
+        terms = self._terms
+        return [
+            (_unpack(key, width), terms[key])
+            for key in sorted(terms, key=_sort_key, reverse=True)
+        ]
 
     def constant_term(self) -> Fraction:
-        return self._terms.get((0,) * (self._max_order + 1), Fraction(0))
-
-    def _trimmed(self) -> frozenset[tuple[ExpVector, Fraction]]:
-        # Strip trailing zero slots so polynomials agree across max_order.
-        out = []
-        for exp, coef in self._terms.items():
-            last = 0
-            for i, e in enumerate(exp):
-                if e:
-                    last = i
-            out.append((exp[: last + 1], coef))
-        return frozenset(out)
+        return Fraction(self._terms.get(0, 0))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MomentPolynomial):
             return NotImplemented
-        return self._basis is other._basis and self._trimmed() == other._trimmed()
+        return self._basis is other._basis and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash((self._basis, self._trimmed()))
+        return hash((self._basis, frozenset(self._terms.items())))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -218,17 +331,24 @@ class MomentPolynomial:
         p = self._coerce(other)
         if p is None:
             return NotImplemented
-        out = dict(self._terms)
-        for exp, coef in p._terms.items():
-            out[exp] = out.get(exp, Fraction(0)) + coef
-        return MomentPolynomial(self._basis, out, self._max_order)
+        big, small = (self, p) if len(self._terms) >= len(p._terms) else (p, self)
+        out = dict(big._terms)
+        for k, c in small._terms.items():
+            prior = out.get(k)
+            if prior is None:
+                out[k] = c
+                continue
+            s = prior + c
+            if not s:
+                del out[k]
+            else:
+                out[k] = s if type(s) is int else _exact(s)
+        return self._like(out, max(self._top, p._top))
 
     __radd__ = __add__
 
     def __neg__(self) -> "MomentPolynomial":
-        return MomentPolynomial(
-            self._basis, {e: -c for e, c in self._terms.items()}, self._max_order
-        )
+        return self._like({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other: object) -> "MomentPolynomial":
         p = self._coerce(other)
@@ -243,22 +363,22 @@ class MomentPolynomial:
         return p + (-self)
 
     def __mul__(self, other: object) -> "MomentPolynomial":
+        if isinstance(other, (int, Fraction)):
+            c = _exact(other)
+            return self._like(_clean({k: v * c for k, v in self._terms.items()}))
         p = self._coerce(other)
         if p is None:
             return NotImplemented
-        out: dict[ExpVector, Fraction] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in p._terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                prior = out.get(e)
-                out[e] = c1 * c2 if prior is None else prior + c1 * c2
-        return MomentPolynomial(self._basis, out, self._max_order)
+        top = self._top + p._top
+        _check_limit(top)
+        return self._like(_clean(_mul_terms(self._terms, p._terms)), top)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "MomentPolynomial":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers need a nonnegative integer exponent")
+        _check_limit(self._top * exponent)
         result = MomentPolynomial.constant(1, self._basis, self._max_order)
         base = self
         e = exponent
@@ -273,7 +393,7 @@ class MomentPolynomial:
 
     def grading_weights(self) -> set[int]:
         """Set of grading weights of the monomials (empty for the zero polynomial)."""
-        return {_weight(exp) for exp in self._terms}
+        return {_key_weight(k) for k in self._terms}
 
     def negate_entries(self) -> "MomentPolynomial":
         """Image under X -> -X, i.e. every order-r symbol picks up (-1)^r.
@@ -281,36 +401,29 @@ class MomentPolynomial:
         A monomial of grading weight w is multiplied by (-1)^w, so a
         polynomial is invariant iff all its weights are even.
         """
-        return MomentPolynomial(
-            self._basis,
-            {e: c if _weight(e) % 2 == 0 else -c for e, c in self._terms.items()},
-            self._max_order,
+        return self._like(
+            {k: -c if _key_weight(k) & 1 else c for k, c in self._terms.items()}
         )
 
     def scale_entries(self, c: Rational) -> "MomentPolynomial":
         """Image under X -> c*X: each monomial of weight w gains a factor c^w."""
-        c = Fraction(c)
-        return MomentPolynomial(
-            self._basis,
-            {e: coef * c ** _weight(e) for e, coef in self._terms.items()},
-            self._max_order,
+        c = _exact(Fraction(c))
+        return self._like(
+            _clean({k: coef * c ** _key_weight(k) for k, coef in self._terms.items()})
         )
 
     def substitute(self, order: int, value: Rational) -> "MomentPolynomial":
         """Replace the order-``order`` symbol by a rational constant."""
         if order < 1 or order > self._max_order:
             raise OrderCapacityError(f"no symbol of order {order}")
-        slot = 0 if order == 1 else order
-        value = Fraction(value)
-        out: dict[ExpVector, Fraction] = {}
-        for exp, coef in self._terms.items():
-            e = list(exp)
-            power = e[slot]
-            e[slot] = 0
-            key = tuple(e)
-            add = coef * value**power
-            out[key] = out.get(key, Fraction(0)) + add
-        return MomentPolynomial(self._basis, out, self._max_order)
+        shift = SLOT_BITS * (0 if order == 1 else order)
+        value = _exact(Fraction(value))
+        out: Terms = {}
+        for key, coef in self._terms.items():
+            power = (key >> shift) & _MASK
+            rest = key - (power << shift)
+            out[rest] = out.get(rest, 0) + coef * value**power
+        return self._like(_clean(out))
 
     def evaluate(self, moments: Mapping[int, Rational], mean: Rational) -> Fraction:
         """Exact value at the given moment assignment.
@@ -318,23 +431,25 @@ class MomentPolynomial:
         ``moments`` maps symbol order (>= 2) to a rational; ``mean`` supplies
         m_1.  Every symbol occurring in the polynomial must be covered.
         """
-        total = Fraction(0)
-        mean = Fraction(mean)
-        for exp, coef in self._terms.items():
+        total: Rational = 0
+        values = {0: _exact(Fraction(mean))}
+        for key, coef in self._terms.items():
             val = coef
-            if exp[0]:
-                val *= mean ** exp[0]
-            for r in range(2, len(exp)):
-                e = exp[r]
-                if not e:
-                    continue
-                if r not in moments:
-                    raise MissingMomentError(
-                        f"no value supplied for the order-{r} moment"
-                    )
-                val *= Fraction(moments[r]) ** e
+            slot = 0
+            while key:
+                e = key & _MASK
+                if e:
+                    if slot not in values:
+                        if slot not in moments:
+                            raise MissingMomentError(
+                                f"no value supplied for the order-{slot} moment"
+                            )
+                        values[slot] = _exact(Fraction(moments[slot]))
+                    val *= values[slot] ** e
+                key >>= SLOT_BITS
+                slot += 1
             total += val
-        return total
+        return Fraction(total)
 
     # -- presentation ------------------------------------------------------
 
@@ -350,7 +465,7 @@ class MomentPolynomial:
         if not self._terms:
             return "0"
         chunks: list[str] = []
-        for i, (exp, coef) in enumerate(self.terms()):
+        for i, (exp, coef) in enumerate(self._ordered()):
             factors = []
             for slot, e in enumerate(exp):
                 if not e or slot == 1:
@@ -381,7 +496,7 @@ class MomentPolynomial:
                     "coef": [str(c.numerator), str(c.denominator)],
                     "exp": list(exp),
                 }
-                for exp, c in self.terms()
+                for exp, c in self._ordered()
             ],
         }
 
@@ -452,17 +567,38 @@ def _raw_in_central(r: int, max_order: int) -> MomentPolynomial:
 
 
 def _convert(p: MomentPolynomial, target: Basis) -> MomentPolynomial:
+    # The mean sits in slot 0 in both bases and maps to itself; each order-r
+    # symbol (r >= 2) maps to its expansion E_r, a polynomial homogeneous of
+    # weight r, so the result keeps the weight bound of ``p``.
     expand = _central_in_raw if target is Basis.RAW else _raw_in_central
     R = p.max_order
-    total = MomentPolynomial.zero(target, R)
-    mean = raw_symbol(1, R) if target is Basis.RAW else central_mean(R)
-    for exp, coef in p.terms():
-        term = MomentPolynomial.constant(coef, target, R) * mean ** exp[0]
-        for r in range(2, len(exp)):
-            if exp[r]:
-                term = term * expand(r, R) ** exp[r]
-        total = total + term
-    return total
+
+    def horner(terms: Terms, slot: int) -> Terms:
+        # ``terms`` use slots 0..slot only.  Write them as sum_e P_e * x^e in
+        # the order-``slot`` symbol x, convert each P_e one slot lower, and
+        # sum by Horner's rule, so each step multiplies by the small E_slot.
+        if slot < 2:
+            return terms
+        shift = SLOT_BITS * slot
+        parts: dict[int, Terms] = {}
+        for key, coef in terms.items():
+            e = key >> shift
+            parts.setdefault(e, {})[key - (e << shift)] = coef
+        if not any(parts):  # no term uses this slot
+            return horner(terms, slot - 1)
+        base = expand(slot, R)._terms
+        acc: Terms = {}
+        for e in range(max(parts), -1, -1):
+            if acc:
+                acc = _clean(_mul_terms(acc, base))
+            part = parts.get(e)
+            if part:
+                get = acc.get
+                for key, coef in horner(part, slot - 1).items():
+                    acc[key] = get(key, 0) + coef
+        return _clean(acc)
+
+    return MomentPolynomial._make(target, horner(p._terms, R), R, p._top)
 
 
 def central_to_raw(p: MomentPolynomial) -> MomentPolynomial:

@@ -151,9 +151,13 @@ def _frozen_f4_2_central() -> MomentPolynomial:
 
 
 # -- suites ----------------------------------------------------------------
+# Every suite takes the same keyword arguments, so `run_suite` can dispatch
+# through `SUITES` alone; a suite ignores the ones it does not use.
 
 
-def suite_small(workers: int = 1) -> VerificationReport:
+def suite_small(
+    *, workers: int = 1, seed: int = MC_SEED, samples: int = MC_SAMPLES
+) -> VerificationReport:
     checks: list[CheckResult] = []
 
     checks.append(
@@ -223,7 +227,9 @@ def suite_small(workers: int = 1) -> VerificationReport:
     return VerificationReport("small", checks)
 
 
-def suite_series() -> VerificationReport:
+def suite_series(
+    *, workers: int = 1, seed: int = MC_SEED, samples: int = MC_SAMPLES
+) -> VerificationReport:
     checks: list[CheckResult] = []
 
     F2 = second_moment_egf(12)
@@ -329,7 +335,7 @@ def suite_series() -> VerificationReport:
 
 
 def suite_montecarlo(
-    seed: int = MC_SEED, samples: int = MC_SAMPLES, workers: int = 1
+    *, workers: int = 1, seed: int = MC_SEED, samples: int = MC_SAMPLES
 ) -> VerificationReport:
     checks: list[CheckResult] = []
     rad = DistributionSpec.rademacher()
@@ -366,13 +372,11 @@ def suite_montecarlo(
 
 
 def suite_all(
-    workers: int = 1, seed: int = MC_SEED, samples: int = MC_SAMPLES
+    *, workers: int = 1, seed: int = MC_SEED, samples: int = MC_SAMPLES
 ) -> VerificationReport:
-    checks = (
-        suite_small(workers).checks
-        + suite_series().checks
-        + suite_montecarlo(seed, samples, workers).checks
-    )
+    checks: list[CheckResult] = []
+    for suite in (suite_small, suite_series, suite_montecarlo):
+        checks += suite(workers=workers, seed=seed, samples=samples).checks
     return VerificationReport("all", checks)
 
 
@@ -387,12 +391,7 @@ SUITES = {
 def run_suite(
     name: str, workers: int = 1, seed: int = MC_SEED, samples: int = MC_SAMPLES
 ) -> VerificationReport:
-    if name == "small":
-        return suite_small(workers)
-    if name == "series":
-        return suite_series()
-    if name == "montecarlo":
-        return suite_montecarlo(seed, samples, workers)
-    if name == "all":
-        return suite_all(workers, seed, samples)
-    raise ValueError(f"unknown suite {name!r} (choose from {sorted(SUITES)})")
+    suite = SUITES.get(name)
+    if suite is None:
+        raise ValueError(f"unknown suite {name!r} (choose from {sorted(SUITES)})")
+    return suite(workers=workers, seed=seed, samples=samples)
