@@ -305,7 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", choices=("plain", "marked"), default="plain")
-    p.add_argument("--reduce", choices=("auto", "full", "first-row"), default="auto")
+    p.add_argument(
+        "--reduce", choices=("auto", *(r.value for r in Reduction)), default="auto"
+    )
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     add_format(p)

@@ -45,6 +45,7 @@ constructor that checks nothing again.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -155,6 +156,23 @@ def _exact(c: Rational) -> Rational:
     return c.numerator if c.denominator == 1 else c
 
 
+def _rational(value: Rational) -> Rational:
+    """A value from a caller as an exact int or Fraction.
+
+    Floats (and other inexact reals) raise TypeError: converting one would
+    silently keep its binary rounding, e.g. 0.1 as
+    3602879701896397/36028797018963968.
+    """
+    if type(value) is int:
+        return value
+    if isinstance(value, numbers.Real) and not isinstance(value, numbers.Rational):
+        raise TypeError(
+            f"moment polynomials are exact; got the inexact {type(value).__name__} "
+            f"{value!r} (pass an int or a Fraction)"
+        )
+    return _exact(Fraction(value))
+
+
 def _clean(terms: Terms) -> Terms:
     """Drop zero coefficients and store integral values as int."""
     return {k: c if type(c) is int else _exact(c) for k, c in terms.items() if c}
@@ -204,7 +222,7 @@ class MomentPolynomial:
                 raise ValueError("negative exponent")
             if len(exp) > 1 and exp[1] != 0:
                 raise ValueError("slot 1 is unused (order-1 symbols live in slot 0)")
-            c = Fraction(coef)
+            c = _rational(coef)
             if c == 0:
                 continue
             weight = exp[0] + sum(r * e for r, e in enumerate(exp) if r >= 2)
@@ -244,7 +262,7 @@ class MomentPolynomial:
     ) -> "MomentPolynomial":
         if max_order < 2:
             raise OrderCapacityError("max_order must be at least 2")
-        c = _exact(Fraction(value))
+        c = _rational(value)
         return cls._make(basis, {0: c} if c else {}, max_order, 0)
 
     @classmethod
@@ -265,7 +283,7 @@ class MomentPolynomial:
                     f"symbol of order {order} exceeds max_order {max_order}"
                 )
             exp[0 if order == 1 else order] += e
-        return cls(basis, {tuple(exp): Fraction(coef)}, max_order)
+        return cls(basis, {tuple(exp): coef}, max_order)
 
     # -- basic state -------------------------------------------------------
 
@@ -407,7 +425,7 @@ class MomentPolynomial:
 
     def scale_entries(self, c: Rational) -> "MomentPolynomial":
         """Image under X -> c*X: each monomial of weight w gains a factor c^w."""
-        c = _exact(Fraction(c))
+        c = _rational(c)
         return self._like(
             _clean({k: coef * c ** _key_weight(k) for k, coef in self._terms.items()})
         )
@@ -417,7 +435,7 @@ class MomentPolynomial:
         if order < 1 or order > self._max_order:
             raise OrderCapacityError(f"no symbol of order {order}")
         shift = SLOT_BITS * (0 if order == 1 else order)
-        value = _exact(Fraction(value))
+        value = _rational(value)
         out: Terms = {}
         for key, coef in self._terms.items():
             power = (key >> shift) & _MASK
@@ -432,7 +450,7 @@ class MomentPolynomial:
         m_1.  Every symbol occurring in the polynomial must be covered.
         """
         total: Rational = 0
-        values = {0: _exact(Fraction(mean))}
+        values = {0: _rational(mean)}
         for key, coef in self._terms.items():
             val = coef
             slot = 0
@@ -444,7 +462,7 @@ class MomentPolynomial:
                             raise MissingMomentError(
                                 f"no value supplied for the order-{slot} moment"
                             )
-                        values[slot] = _exact(Fraction(moments[slot]))
+                        values[slot] = _rational(moments[slot])
                     val *= values[slot] ** e
                 key >>= SLOT_BITS
                 slot += 1

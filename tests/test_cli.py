@@ -145,7 +145,10 @@ def test_oracle_budget_flag_refuses_big_runs(capsys):
 
 def test_oracle_budget_env_var(capsys, monkeypatch):
     monkeypatch.setenv("DETMOM_BUDGET", "10")
-    code, _, err = run(capsys, "oracle", "--k", "2", "--n", "5", "--workers", "1")
+    code, _, err = run(
+        capsys, "oracle", "--k", "2", "--n", "5", "--reduce", "first-row",
+        "--workers", "1",
+    )
     assert code == 2
     assert "refused" in err
 
@@ -155,6 +158,19 @@ def test_oracle_budget_env_var_must_be_integer(capsys, monkeypatch):
     code, _, err = run(capsys, "oracle", "--k", "2", "--n", "3", "--workers", "1")
     assert code == 64
     assert "DETMOM_BUDGET" in err
+
+
+@pytest.mark.parametrize(
+    "args", [("--k", "3", "--n", "3", "--mode", "marked"), ("--k", "4", "--n", "3")]
+)
+def test_oracle_conjugacy_and_full_print_the_same(capsys, args):
+    outputs = []
+    for reduce in ("conjugacy", "full"):
+        code, out, _ = run(capsys, "oracle", *args, "--reduce", reduce, "--workers", "1")
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].strip()
 
 
 def test_oracle_odd_power_with_first_row_reduction_is_rejected(capsys):

@@ -83,6 +83,23 @@ def test_constant_polynomial_has_weight_zero():
     assert c.constant_term() == Fraction(7, 3)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: MomentPolynomial.constant(0.1, Basis.RAW),
+        lambda: MomentPolynomial(Basis.RAW, {(0, 0, 1, 0, 0, 0, 0, 0, 0): 0.5}),
+        lambda: MomentPolynomial.monomial(0.5, {2: 1}, Basis.RAW),
+        lambda: m(2).scale_entries(0.5),
+        lambda: m(2).substitute(2, 0.5),
+        lambda: m(2).evaluate({2: 0.5}, 0),
+        lambda: (m(1) * m(2)).evaluate({2: 1}, 0.5),
+    ],
+)
+def test_floats_are_refused_not_rounded(build):
+    with pytest.raises(TypeError):
+        build()
+
+
 # -- ring operations -------------------------------------------------------
 
 

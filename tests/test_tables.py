@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given
@@ -202,6 +203,58 @@ def test_table_counts():
     assert table_count(2, 3, TableMode.PLAIN, Reduction.FIRST_ROW_IDENTITY) == 6
     assert table_count(4, 2, TableMode.MARKED, Reduction.FULL) == 6 ** 4
     assert table_count(4, 2, TableMode.MARKED, Reduction.FIRST_ROW_IDENTITY) == 3 * 6 ** 3
+    # p(9) = 30 cycle types; q(4) = 1 + 1 + 2 + 3 + 5 = 12 marked orbits.
+    assert table_count(2, 9, TableMode.PLAIN, Reduction.CONJUGACY) == 30
+    assert table_count(3, 4, TableMode.PLAIN, Reduction.CONJUGACY) == 5 * 24**2
+    assert table_count(4, 7, TableMode.PLAIN, Reduction.CONJUGACY) == 15 * 5040**2
+    assert table_count(3, 4, TableMode.MARKED, Reduction.CONJUGACY) == 12 * 120**2
+    assert table_count(4, 2, TableMode.MARKED, Reduction.CONJUGACY) == 3 * 4 * 6**2
+    assert table_count(1, 0, TableMode.MARKED, Reduction.CONJUGACY) == 1
+
+
+@pytest.mark.parametrize("mode", list(TableMode))
+def test_orbit_sizes_sum_to_every_row(mode):
+    for n in range(9):
+        options = tables._orbit_options(n, mode)
+        rows = factorial(n) * (1 if mode is TableMode.PLAIN else n + 1)
+        assert sum(abs(signed) for _, signed in options) == rows
+        assert len(options) == table_count(1, n, mode, Reduction.CONJUGACY)
+
+
+@pytest.mark.parametrize(
+    "k, n, mode, reduction",
+    [
+        (2, 5, TableMode.PLAIN, Reduction.CONJUGACY),
+        (3, 3, TableMode.PLAIN, Reduction.CONJUGACY),
+        (4, 3, TableMode.PLAIN, Reduction.CONJUGACY),
+        (3, 3, TableMode.MARKED, Reduction.CONJUGACY),
+        (4, 2, TableMode.MARKED, Reduction.CONJUGACY),
+        (4, 2, TableMode.MARKED, Reduction.FIRST_ROW_IDENTITY),
+        (3, 2, TableMode.MARKED, Reduction.FULL),
+    ],
+)
+def test_table_count_is_the_number_of_tables_visited(k, n, mode, reduction):
+    seen = []
+    oracle_moment(k, n, mode=mode, reduction=reduction,
+                  progress=lambda done, total: seen.append((done, total)))
+    count = table_count(k, n, mode, reduction)
+    assert seen[-1] == (count, count)
+
+
+def _conjugacy_cases():
+    for k in range(1, 7):
+        for n in range(4 if k >= 5 else 5):
+            yield k, n, TableMode.PLAIN
+    for k in range(1, 5):
+        for n in range(4):
+            yield k, n, TableMode.MARKED
+    yield 3, 4, TableMode.MARKED
+
+
+@pytest.mark.parametrize("k, n, mode", list(_conjugacy_cases()))
+def test_conjugacy_matches_full_enumeration(k, n, mode):
+    full = oracle_moment(k, n, mode=mode, reduction=Reduction.FULL, workers=2)
+    assert oracle_moment(k, n, mode=mode, reduction=Reduction.CONJUGACY) == full
 
 
 def test_reduction_requires_even_power():
@@ -269,6 +322,17 @@ def test_budget_refusal_happens_before_any_work():
     assert "budget" in str(err.value)
 
 
+def test_default_budget_refuses_k4_n7_before_any_work(monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(tables, "_axes", no_enumeration)
+    with pytest.raises(BudgetExceededError) as err:
+        oracle_moment(4, 7)
+    assert err.value.required == 381_024_000
+    assert err.value.budget == tables.DEFAULT_BUDGET == 10**8
+
+
 def test_worker_partitioning_is_deterministic(monkeypatch):
     monkeypatch.setattr(tables, "_PARALLEL_THRESHOLD", 10)
     expected = second_moment(4)
@@ -277,9 +341,28 @@ def test_worker_partitioning_is_deterministic(monkeypatch):
     assert oracle_moment(4, 2, mode=TableMode.MARKED, workers=3) == fourth_moment(2)
 
 
+@pytest.mark.parametrize("k, n, mode", [(4, 3, TableMode.PLAIN), (3, 3, TableMode.MARKED)])
+def test_conjugacy_workers_give_the_serial_result(monkeypatch, k, n, mode):
+    serial = oracle_moment(k, n, mode=mode, reduction=Reduction.CONJUGACY)
+    monkeypatch.setattr(tables, "_PARALLEL_THRESHOLD", 10)
+    seen = []
+    pooled = oracle_moment(
+        k, n, mode=mode, reduction=Reduction.CONJUGACY, workers=3,
+        progress=lambda done, total: seen.append((done, total)),
+    )
+    assert pooled == serial
+    count = table_count(k, n, mode, Reduction.CONJUGACY)
+    assert seen[-1] == (count, count)
+
+
 def test_progress_reports_reach_the_total():
     seen = []
-    oracle_moment(2, 3, progress=lambda done, total: seen.append((done, total)))
+    oracle_moment(
+        2,
+        3,
+        reduction=Reduction.FIRST_ROW_IDENTITY,
+        progress=lambda done, total: seen.append((done, total)),
+    )
     assert seen[-1] == (6, 6)
 
 
