@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import argparse
 from dataclasses import dataclass
-from fractions import Fraction
 
+from detmom.cli import UsageError, _build_dist
 from detmom.sampling import DistributionSpec, mc_estimate
 
 
@@ -68,17 +68,10 @@ def parse_args() -> ConvergenceConfig:
     parser.add_argument("--rounds", type=int, default=8)
     parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
-    if args.dist == "rademacher":
-        dist = DistributionSpec.rademacher()
-    elif args.dist == "normal":
-        dist = DistributionSpec.std_normal()
-    else:
-        if args.values is None or args.probs is None:
-            parser.error("--dist discrete needs --values and --probs")
-        dist = DistributionSpec.discrete(
-            [Fraction(v) for v in args.values.split(",")],
-            [Fraction(p) for p in args.probs.split(",")],
-        )
+    try:
+        dist = _build_dist(args)
+    except UsageError as exc:
+        parser.error(str(exc))
     return ConvergenceConfig(
         dist=dist, k=args.k, n=args.n, seed=args.seed,
         start=args.start, rounds=args.rounds, workers=args.workers,

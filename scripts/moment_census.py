@@ -12,6 +12,7 @@ import argparse
 from dataclasses import dataclass
 from fractions import Fraction
 
+from detmom.cli import UsageError, _build_dist
 from detmom.formulas import (
     fourth_moment,
     gaussian_det_moment,
@@ -79,15 +80,11 @@ def parse_args() -> CensusConfig:
     parser.add_argument("--probs", default=None,
                         help="comma-separated probabilities")
     args = parser.parse_args()
-    if args.values is None:
-        dist = DistributionSpec.rademacher()
-    else:
-        if args.probs is None:
-            parser.error("--values needs --probs")
-        dist = DistributionSpec.discrete(
-            [Fraction(v) for v in args.values.split(",")],
-            [Fraction(p) for p in args.probs.split(",")],
-        )
+    args.dist = "rademacher" if args.values is None else "discrete"
+    try:
+        dist = _build_dist(args)
+    except UsageError as exc:
+        parser.error(str(exc))
     return CensusConfig(dist=dist, max_n=args.max_n)
 
 

@@ -12,8 +12,9 @@ Subcommands:
 * ``verify``     -- cross-check suites; exit 1 on any mismatch.
 
 Results go to stdout, progress to stderr.  Exit codes: 0 success, 1
-verification failure, 2 budget refusal, 64 usage error.  The environment
-variable ``DETMOM_BUDGET`` overrides the default enumeration budgets.
+verification failure, 2 budget refusal, 64 usage error or a Monte-Carlo
+sum beyond float64 range.  The environment variable ``DETMOM_BUDGET``
+overrides the default enumeration budgets.
 """
 
 from __future__ import annotations
@@ -361,7 +362,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BudgetExceededError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 64
 

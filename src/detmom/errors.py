@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class BasisMismatchError(ValueError):
     """Raised when combining polynomials tagged with different moment bases."""
@@ -31,5 +33,19 @@ class BudgetExceededError(RuntimeError):
         self.required = required
         self.budget = budget
         super().__init__(
-            f"{what} needs {required} weight evaluations, over the budget of {budget}"
+            f"{what} needs {_count_text(required)} weight evaluations, "
+            f"over the budget of {_count_text(budget)}"
         )
+
+
+def _count_text(count: int) -> str:
+    """A count in decimal, or its digit count past Python's str() limit."""
+    try:
+        return str(count)
+    except ValueError:
+        digits = int(math.log10(count)) + 1
+        if count < 10 ** (digits - 1):
+            digits -= 1
+        elif count >= 10**digits:
+            digits += 1
+        return f"a {digits}-digit number of"

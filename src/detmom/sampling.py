@@ -1,10 +1,19 @@
 """Numerical cross-checks: Monte-Carlo estimates and exhaustive averages.
 
-Determinants of matrices with rational entries are computed exactly by
-fraction-free (Bareiss) elimination after clearing denominators, so the
-exhaustive average and the discrete Monte-Carlo sums are exact rationals;
-only the final estimate is floated.  Standard normal entries use floating
-LU determinants and compensated block summation.
+Determinants of matrices with rational entries are computed exactly after
+clearing denominators, by one fraction-free (Bareiss) kernel,
+`_batch_int_det`, vectorised over a batch of matrices.  By Sylvester's
+identity every intermediate entry is a minor, so Hadamard's inequality
+bounds it and `_int64_safe` decides when the whole elimination fits in
+int64: +-1 entries up to n = 16, |entry| <= 2 up to n = 12.  Beyond that
+the same kernel runs on numpy ``object`` arrays of Python ints.
+
+The exhaustive average enumerates every matrix in blocks of `BLOCK_SIZE`
+index codes, and the discrete Monte-Carlo sums add det^k once per distinct
+determinant of a block, so both are exact rationals; only the final
+estimate is floated.  Standard normal entries use floating LU determinants
+and compensated block summation; a sum that overflows float64 raises
+`OverflowError` instead of reporting ``inf``.
 
 Reproducibility: samples are drawn in fixed-size blocks from a counter-based
 Philox generator keyed by (seed, block index), and block partials are merged
@@ -14,7 +23,6 @@ any worker count.
 
 from __future__ import annotations
 
-import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -104,33 +112,6 @@ def exact_moments(dist: DistributionSpec, up_to: int) -> dict[int, Fraction]:
 # -- exact determinants ----------------------------------------------------
 
 
-def _int_det(rows: list[list[int]]) -> int:
-    """Bareiss fraction-free elimination with row pivoting; exact for ints."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for s in range(n - 1):
-        if m[s][s] == 0:
-            for r in range(s + 1, n):
-                if m[r][s] != 0:
-                    m[s], m[r] = m[r], m[s]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        piv = m[s][s]
-        for i in range(s + 1, n):
-            fac = m[i][s]
-            for j in range(s + 1, n):
-                m[i][j] = (piv * m[i][j] - fac * m[s][j]) // prev
-            m[i][s] = 0
-        prev = piv
-    return sign * m[n - 1][n - 1]
-
-
 def exact_det(rows: Sequence[Sequence[Rational]]) -> Fraction:
     """Exact determinant of a rational matrix via denominator-cleared Bareiss."""
     n = len(rows)
@@ -138,60 +119,87 @@ def exact_det(rows: Sequence[Sequence[Rational]]) -> Fraction:
         return Fraction(1)
     fracs = [[Fraction(x) for x in row] for row in rows]
     scale = math.lcm(*(x.denominator for row in fracs for x in row))
-    ints = [[int(x * scale) for x in row] for row in fracs]
-    return Fraction(_int_det(ints), scale**n)
+    ints = np.array([[int(x * scale) for x in row] for row in fracs], dtype=object)
+    return Fraction(int(_batch_int_det(ints.reshape(1, n, n))[0]), scale**n)
 
 
-def _batch_int_det(mats: np.ndarray) -> list[int]:
-    """Bareiss elimination vectorized over axis 0 of an integer (B, n, n) array.
+def _batch_int_det(mats: np.ndarray) -> np.ndarray:
+    """Exact determinants of a (B, n, n) integer array, by Bareiss elimination.
 
-    Row pivoting is handled per matrix; matrices whose pivot column is
-    entirely zero are parked and reported as determinant zero.
+    The dtype is ``object`` (Python ints) or ``int64``; for ``int64`` the
+    caller checks `_int64_safe` first.  Each step pivots on the first
+    nonzero entry at or below the diagonal and applies one fraction-free
+    rank-1 update to the trailing block of every matrix at once.  A matrix
+    whose pivot column is zero is singular: its trailing block is zeroed
+    and given a unit pivot, so it stays zero with every division exact.
     """
     B, n, _ = mats.shape
     if n == 0:
-        return [1] * B
-    m = mats.copy()
+        return np.ones(B, dtype=mats.dtype)
+    # Batch axis last, so every elementwise loop runs over B contiguous items.
+    m = np.moveaxis(mats, 0, -1).copy()
     sign = np.ones(B, dtype=m.dtype)
-    dead = np.zeros(B, dtype=bool)
     prev = np.ones(B, dtype=m.dtype)
     for s in range(n - 1):
-        need = np.nonzero((m[:, s, s] == 0) & ~dead)[0]
-        for b in need.tolist():
-            for r in range(s + 1, n):
-                if m[b, r, s] != 0:
-                    tmp = m[b, s].copy()
-                    m[b, s] = m[b, r]
-                    m[b, r] = tmp
-                    sign[b] = -sign[b]
-                    break
-            else:
-                dead[b] = True
-        piv = m[:, s, s].copy()
-        piv[dead] = 1  # keep the exact divisions well-defined on parked rows
-        for i in range(s + 1, n):
-            fac = m[:, i, s].copy()
-            for j in range(s + 1, n):
-                m[:, i, j] = (piv * m[:, i, j] - fac * m[:, s, j]) // prev
-            m[:, i, s] = 0
+        zero = np.nonzero(m[s, s] == 0)[0]
+        if zero.size:
+            nonzero = m[s + 1 :, s, zero] != 0
+            found = nonzero.any(axis=0)
+            dead = zero[~found]
+            m[s:, s:, dead] = 0
+            m[s, s, dead] = 1
+            swap = zero[found]
+            r = nonzero[:, found].argmax(axis=0) + s + 1
+            m[s, :, swap], m[r, :, swap] = m[r, :, swap], m[s, :, swap]
+            sign[swap] = -sign[swap]
+        piv = m[s, s].copy()
+        sub = m[s + 1 :, s + 1 :]
+        sub *= piv
+        sub -= m[s + 1 :, s, None] * m[s, None, s + 1 :]
+        if s:
+            sub //= prev
         prev = piv
-    det = sign * m[:, n - 1, n - 1]
-    out = det.tolist()
-    for b in np.nonzero(dead)[0].tolist():
-        out[b] = 0
-    return out
+    return sign * m[n - 1, n - 1]
 
 
 def _int64_safe(n: int, max_abs: int) -> bool:
-    # Intermediate Bareiss entries are minors; bound them by Hadamard's
-    # inequality and leave room for the pivot product before division.
-    if n <= 1:
-        return max_abs < 2**31
-    hb = (n - 1) ** ((n) // 2) * max_abs ** (n - 1)
-    return 2 * hb * hb < 2**62
+    """Whether Bareiss on n x n matrices with |entries| <= max_abs fits int64.
+
+    By Sylvester's identity every intermediate entry is a minor of order
+    r <= n - 1, bounded by Hadamard's inequality as H_r = r^(r/2) max_abs^r.
+    The largest value formed before a division is a difference of two
+    products of such minors, at most 2 H_(n-1)^2.  That admits +-1
+    entries up to n = 16 and |entry| <= 2 up to n = 12.
+    """
+    r = max(n - 1, 1)
+    return 2 * r**r * max_abs ** (2 * r) < 2**63
+
+
+def _integer_support(dist: DistributionSpec, n: int) -> tuple[int, np.ndarray]:
+    """The lcm ``scale`` of the support's denominators, and support * scale.
+
+    The array is int64 when `_int64_safe` allows it for n x n matrices,
+    else an ``object`` array of Python ints.
+    """
+    scale = math.lcm(*(v.denominator for v in dist.values))
+    scaled = [int(v * scale) for v in dist.values]
+    dtype = np.int64 if _int64_safe(n, max(map(abs, scaled))) else object
+    return scale, np.array(scaled, dtype=dtype)
 
 
 # -- exhaustive averages ---------------------------------------------------
+
+
+def _index_block(start: int, count: int, s: int, cells: int) -> np.ndarray:
+    """Support indices of matrices start .. start+count-1, as (count, cells).
+
+    Matrix number c takes the base-s digits of c as its entries' indices.
+    """
+    codes = np.arange(start, start + count, dtype=np.int64)
+    idx = np.empty((count, cells), dtype=np.int64)
+    for j in range(cells - 1, -1, -1):
+        codes, idx[:, j] = np.divmod(codes, s)
+    return idx
 
 
 def exhaustive_moment(
@@ -200,39 +208,56 @@ def exhaustive_moment(
     n: int,
     budget: Optional[int] = None,
 ) -> Fraction:
-    """E[det(A)^k] as an exact average over all |support|^(n^2) matrices."""
+    """E[det(A)^k] as an exact average over all |support|^(n^2) matrices.
+
+    Matrices are enumerated in blocks of `BLOCK_SIZE` and their
+    determinants computed by `_batch_int_det`.  det^k is summed once per
+    distinct determinant, and for non-uniform probabilities once per
+    distinct (determinant, multiset of support indices), which fixes the
+    matrix's probability.
+    """
     if not dist.finite:
         raise ValueError("exhaustive averaging needs a finite support")
     if k < 1 or n < 0:
         raise ValueError("need k >= 1 and n >= 0")
     budget = DEFAULT_EXHAUSTIVE_BUDGET if budget is None else budget
     s = len(dist.values)
-    total = s ** (n * n)
+    cells = n * n
+    total = s**cells
     if total > budget:
         raise BudgetExceededError(total, budget, f"exhaustive average for n={n}")
 
-    scale = math.lcm(*(v.denominator for v in dist.values))
-    scaled = [int(v * scale) for v in dist.values]
+    scale, support = _integer_support(dist, n)
     uniform = len(set(dist.probs)) == 1
 
-    acc_int = 0
-    acc_frac = Fraction(0)
-    for combo in itertools.product(range(s), repeat=n * n):
-        rows = [
-            [scaled[combo[i * n + j]] for j in range(n)] for i in range(n)
-        ]
-        d = _int_det(rows) ** k
+    acc = 0
+    by_multiset: dict[tuple[int, ...], int] = {}
+    for start in range(0, total, BLOCK_SIZE):
+        idx = _index_block(start, min(BLOCK_SIZE, total - start), s, cells)
+        dets = _batch_int_det(support[idx].reshape(len(idx), n, n))
         if uniform:
-            acc_int += d
-        else:
-            p = Fraction(1)
-            for idx in combo:
-                p *= dist.probs[idx]
-            acc_frac += p * d
+            values, counts = np.unique(dets, return_counts=True)
+            acc += sum(c * d**k for d, c in zip(values.tolist(), counts.tolist()))
+            continue
+        values, which = np.unique(dets, return_inverse=True)
+        powers = [d**k for d in values.tolist()]
+        keys, counts = np.unique(
+            np.column_stack([which.reshape(-1), np.sort(idx, axis=1)]),
+            axis=0,
+            return_counts=True,
+        )
+        for (w, *multiset), c in zip(keys.tolist(), counts.tolist()):
+            key = tuple(multiset)
+            by_multiset[key] = by_multiset.get(key, 0) + c * powers[w]
     denom = Fraction(scale) ** (n * k)
     if uniform:
-        return Fraction(acc_int, s ** (n * n)) / denom
-    return acc_frac / denom
+        return Fraction(acc, s**cells) / denom
+    weighted = sum(
+        (math.prod((dist.probs[i] for i in key), start=Fraction(1)) * v
+         for key, v in by_multiset.items()),
+        Fraction(0),
+    )
+    return weighted / denom
 
 
 # -- symbolic targets ------------------------------------------------------
@@ -308,29 +333,28 @@ def _normal_block(args: tuple) -> tuple[float, float]:
     seed, block, count, n, k = args
     g = _block_rng(seed, block)
     mats = g.standard_normal((count, n, n))
-    vals = np.linalg.det(mats) ** k
-    return float(np.sum(vals)), float(np.sum(vals * vals))
+    # Overflow shows as a non-finite sum, which mc_estimate reports.
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.linalg.det(mats) ** k
+        return float(np.sum(vals)), float(np.sum(vals * vals))
 
 
 def _discrete_block(args: tuple) -> tuple[int, int]:
-    seed, block, count, n, k, scaled, cum, uniform, use_int64 = args
+    seed, block, count, n, k, support, cum, uniform = args
     g = _block_rng(seed, block)
-    s = len(scaled)
+    s = len(support)
     if uniform:
         idx = g.integers(0, s, size=(count, n, n))
     else:
         u = g.random((count, n, n))
         idx = np.minimum(np.searchsorted(cum, u, side="right"), s - 1)
-    dtype = np.int64 if use_int64 else object
-    support = np.array(scaled, dtype=dtype)
-    mats = support[idx]
-    dets = _batch_int_det(mats)
+    values, counts = np.unique(_batch_int_det(support[idx]), return_counts=True)
     sx = 0
     sxx = 0
-    for d in dets:
-        v = int(d) ** k
-        sx += v
-        sxx += v * v
+    for d, c in zip(values.tolist(), counts.tolist()):
+        v = d**k
+        sx += c * v
+        sxx += c * v * v
     return sx, sxx
 
 
@@ -373,20 +397,18 @@ def mc_estimate(
         parts = _run_blocks(_normal_block, jobs, workers)
         sum_x = _kahan_sum([p[0] for p in parts])
         sum_xx = _kahan_sum([p[1] for p in parts])
+        if not (math.isfinite(sum_x) and math.isfinite(sum_xx)):
+            raise _float_overflow(k, n)
         mean = sum_x / samples
         var = max(sum_xx - samples * mean * mean, 0.0) / (samples - 1)
         se = math.sqrt(var / samples)
         estimate = mean
     else:
-        scale = math.lcm(*(v.denominator for v in dist.values))
-        scaled = [int(v * scale) for v in dist.values]
+        scale, support = _integer_support(dist, n)
         uniform = len(set(dist.probs)) == 1
         cum = np.cumsum([float(p) for p in dist.probs])
-        max_abs = max(1, max(abs(v) for v in scaled))
-        use_int64 = _int64_safe(n, max_abs)
         jobs = [
-            (seed, b, count, n, k, tuple(scaled), cum, uniform, use_int64)
-            for b, count in blocks
+            (seed, b, count, n, k, support, cum, uniform) for b, count in blocks
         ]
         parts = _run_blocks(_discrete_block, jobs, workers)
         denom = Fraction(scale) ** (n * k)
@@ -394,8 +416,11 @@ def mc_estimate(
         sum_xx = Fraction(sum(p[1] for p in parts)) / denom**2
         mean_fr = sum_x / samples
         var_fr = (sum_xx - samples * mean_fr * mean_fr) / (samples - 1)
-        estimate = float(mean_fr)
-        se = math.sqrt(max(float(var_fr), 0.0) / samples)
+        try:
+            estimate = float(mean_fr)
+            se = math.sqrt(max(float(var_fr), 0.0) / samples)
+        except OverflowError:
+            raise _float_overflow(k, n) from None
 
     return EstimateReport(
         estimate=estimate,
@@ -403,6 +428,13 @@ def mc_estimate(
         samples=samples,
         seed=seed,
         exact_target=exact_moment_target(dist, k, n),
+    )
+
+
+def _float_overflow(k: int, n: int) -> OverflowError:
+    return OverflowError(
+        f"the Monte-Carlo sums of det(A)^{k} at n={n} overflow float64; "
+        "no finite estimate can be reported"
     )
 
 

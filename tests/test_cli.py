@@ -7,6 +7,7 @@ import json
 import pytest
 
 from detmom.cli import main
+from detmom.errors import _count_text
 from detmom.poly import MomentPolynomial
 
 
@@ -299,3 +300,43 @@ def test_missing_required_flag_is_usage_error(capsys):
 def test_negative_n_is_usage_error(capsys):
     code, _, err = run(capsys, "closed", "--k", "2", "--n=-1")
     assert code == 64
+
+
+@pytest.mark.parametrize(
+    "argv, digits",
+    [
+        (("exhaustive", "--dist", "rademacher", "--k", "2", "--n", "120"), 4335),
+        (("oracle", "--k", "2", "--n", "2000", "--reduce", "first-row"), 5736),
+    ],
+)
+def test_budget_refusal_past_the_int_str_limit(capsys, argv, digits):
+    # 2^14400 and 2000! have more digits than str(int) may print.
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert f"needs a {digits}-digit number of weight evaluations" in err
+
+
+def test_long_counts_are_reported_by_their_digit_count():
+    assert _count_text(10**4300 - 1) == "9" * 4300
+    for digits in (4301, 5000, 14400):
+        assert _count_text(10 ** (digits - 1)) == f"a {digits}-digit number of"
+        assert _count_text(10**digits - 1) == f"a {digits}-digit number of"
+
+
+def test_budget_refusal_prints_small_counts_in_full(capsys):
+    code, _, err = run(capsys, "exhaustive", "--dist", "rademacher", "--k", "2", "--n", "5")
+    assert code == 2
+    assert err == (
+        "refused: exhaustive average for n=5 needs 33554432 weight evaluations, "
+        "over the budget of 1000000\n"
+    )
+
+
+def test_mc_normal_overflow_exits_with_message(capsys):
+    code, out, err = run(
+        capsys, "mc", "--dist", "normal", "--k", "6", "--n", "60",
+        "--samples", "100", "--workers", "1",
+    )
+    assert code == 64
+    assert out == ""
+    assert "overflow float64" in err

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from detmom.errors import BudgetExceededError
 from detmom.formulas import gaussian_det_moment
+from detmom import sampling
 from detmom.sampling import (
     DistKind,
     DistributionSpec,
@@ -21,6 +24,8 @@ from detmom.sampling import (
     exact_moments,
     exhaustive_moment,
     mc_estimate,
+    _batch_int_det,
+    _int64_safe,
 )
 
 RADEMACHER = DistributionSpec.rademacher()
@@ -110,25 +115,138 @@ def test_exact_det_matches_permutation_sum(rows):
     assert exact_det(rows) == permanent_style_det(rows)
 
 
+def fraction_det(rows):
+    """Reference determinant by Gaussian elimination over the rationals."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    n = len(m)
+    det = Fraction(1)
+    for c in range(n):
+        p = next((r for r in range(c, n) if m[r][c] != 0), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            m[c], m[p] = m[p], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, n):
+            f = m[r][c] / m[c][c]
+            for j in range(c, n):
+                m[r][j] -= f * m[c][j]
+    return det
+
+
+def reference_dets(mats):
+    return [int(fraction_det(m.tolist())) for m in mats]
+
+
 def test_batch_determinants_match_scalar_path():
     rng = np.random.default_rng(5)
-    from detmom.sampling import _batch_int_det, _int_det
-
     for n in (2, 3, 5):
         mats = rng.integers(-20, 21, size=(40, n, n)).astype(np.int64)
+        want = [int(permanent_style_det(m.tolist())) for m in mats]
+        assert _batch_int_det(mats).tolist() == want
+        assert _batch_int_det(mats.astype(object)).tolist() == want
+
+
+@pytest.mark.parametrize(
+    "support",
+    [(-1, 1), (-1, 0, 1), (0, 0, 0, 1), (-2, -1, 1, 2)],
+    ids=["pm1", "zero-pm1", "sparse", "pm1-pm2"],
+)
+def test_batch_kernel_matches_fraction_reference(support):
+    # {-1,0,1} and the sparse support give many zero pivots, row swaps and
+    # singular matrices; n = 0 and 1 take no elimination step at all.
+    rng = np.random.default_rng(len(support))
+    values = np.array(support, dtype=np.int64)
+    for n in range(14):
+        mats = values[rng.integers(0, len(support), size=(12, n, n))]
         got = _batch_int_det(mats)
-        want = [_int_det([list(map(int, row)) for row in m]) for m in mats]
-        assert got == want
+        assert got.dtype == np.int64
+        assert got.tolist() == reference_dets(mats), n
+        assert _batch_int_det(mats.astype(object)).tolist() == got.tolist()
+
+
+def test_batch_kernel_handles_zero_and_rank_deficient_matrices():
+    mats = np.array(
+        [
+            [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+            [[0, 1, 2], [0, 3, 4], [5, 6, 7]],  # dead at the first column
+            [[1, 2, 3], [2, 4, 6], [1, 0, 1]],  # dead after one step
+            [[0, 0, 1], [0, 1, 0], [1, 0, 0]],  # two swaps
+            [[1, 1, 1], [1, 1, 2], [1, 2, 3]],  # zero pivot at the second step
+        ],
+        dtype=np.int64,
+    )
+    assert _batch_int_det(mats).tolist() == reference_dets(mats)
+
+
+def sylvester_hadamard(order):
+    h = np.array([[1]], dtype=np.int64)
+    while len(h) < order:
+        h = np.block([[h, h], [h, -h]])
+    return h
+
+
+def paley_hadamard_12():
+    # Paley's construction over GF(11), 11 = 3 (mod 4).
+    q = 11
+    squares = {(x * x) % q for x in range(1, q)}
+    chi = [0] + [1 if a in squares else -1 for a in range(1, q)]
+    s = np.zeros((q + 1, q + 1), dtype=np.int64)
+    s[0, 1:] = 1
+    s[1:, 0] = -1
+    for i in range(q):
+        for j in range(q):
+            s[i + 1, j + 1] = chi[(j - i) % q]
+    return s + np.eye(q + 1, dtype=np.int64)
+
+
+def scrambled(h, count, seed):
+    """Row and column permutations and sign flips of h: |det| is unchanged."""
+    rng = np.random.default_rng(seed)
+    n = len(h)
+    out = []
+    for _ in range(count):
+        rows = rng.permutation(n)
+        cols = rng.permutation(n)
+        flips = rng.choice([-1, 1], size=n)
+        out.append(h[rows][:, cols] * flips)
+    return np.array(out)
+
+
+@pytest.mark.parametrize(
+    "h, entry, max_n",
+    [(sylvester_hadamard(16), 1, 16), (2 * paley_hadamard_12(), 2, 12)],
+    ids=["pm1-n16", "pm2-n12"],
+)
+def test_hadamard_matrices_at_the_int64_boundary(h, entry, max_n):
+    # Hadamard matrices have the largest determinant for their entry bound,
+    # so the int64 path is checked right where _int64_safe stops.
+    n = len(h)
+    assert n == max_n
+    assert (h @ h.T == entry * entry * n * np.eye(n, dtype=np.int64)).all()
+    assert _int64_safe(n, entry)
+    assert not _int64_safe(n + 1, entry)
+    mats = scrambled(h, 6, seed=n)
+    got = _batch_int_det(mats)
+    assert got.dtype == np.int64
+    assert [abs(d) for d in got.tolist()] == [entry**n * n ** (n // 2)] * 6
+    assert got.tolist() == reference_dets(mats)
+    assert got.tolist() == _batch_int_det(mats.astype(object)).tolist()
+
+
+def test_int64_range():
+    assert [n for n in range(1, 40) if _int64_safe(n, 1)] == list(range(1, 17))
+    assert [n for n in range(1, 40) if _int64_safe(n, 2)] == list(range(1, 13))
+    assert _int64_safe(1, 2**31 - 1) and not _int64_safe(1, 2**31)
 
 
 def test_batch_determinants_on_object_dtype():
-    from detmom.sampling import _batch_int_det
-
     big = 10 ** 12
     mats = np.array(
         [[[big, 1], [1, big]], [[0, big], [big, 0]]], dtype=object
     )
-    assert _batch_int_det(mats) == [big * big - 1, -big * big]
+    assert _batch_int_det(mats).tolist() == [big * big - 1, -big * big]
 
 
 # -- exhaustive averages ---------------------------------------------------
@@ -179,6 +297,63 @@ def test_exhaustive_agrees_with_symbolic_targets():
         target = exact_moment_target(RADEMACHER, k, n)
         assert target is not None
         assert exhaustive_moment(RADEMACHER, k, n) == target
+
+
+@functools.lru_cache(maxsize=None)
+def weighted_dets(case, n):
+    """Reference: (probability, Fraction determinant) of every n x n matrix."""
+    dist = EXHAUSTIVE_CASES[case][0]
+    out = []
+    for combo in itertools.product(range(len(dist.values)), repeat=n * n):
+        rows = [[dist.values[combo[i * n + j]] for j in range(n)] for i in range(n)]
+        weight = Fraction(1)
+        for c in combo:
+            weight *= dist.probs[c]
+        out.append((weight, fraction_det(rows)))
+    return out
+
+
+def discrete(values, probs):
+    return DistributionSpec.discrete(
+        [Fraction(v) for v in values], [Fraction(p) for p in probs]
+    )
+
+
+EXHAUSTIVE_CASES = {
+    "rademacher": (RADEMACHER, [(k, n) for k in (1, 2, 3, 4, 5) for n in (0, 1, 2, 3)]),
+    "uniform-3": (discrete(["-1", "0", "1"], ["1/3"] * 3), [(2, 2), (3, 2), (4, 2)]),
+    "non-uniform": (
+        discrete(["-1", "0", "1"], ["1/4", "1/2", "1/4"]),
+        [(1, 2), (2, 2), (4, 2), (3, 3), (4, 3)],
+    ),
+    "lopsided": (discrete(["0", "1"], ["1/3", "2/3"]), [(2, 3), (3, 3), (4, 1)]),
+    "fractional": (
+        discrete(["-1/2", "1/3", "5/7"], ["1/6", "1/2", "1/3"]),
+        [(2, 2), (3, 2), (4, 1)],
+    ),
+    # A scale of about 10^12 leaves the int64 range: the object path.
+    "object": (
+        discrete(["-1/1000003", "1/999983"], ["1/3", "2/3"]),
+        [(2, 2), (6, 3)],
+    ),
+}
+
+
+@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize("case", list(EXHAUSTIVE_CASES))
+def test_exhaustive_matches_per_matrix_loop(case, block, monkeypatch):
+    # A block size of 7 puts block boundaries inside every enumeration.
+    if block is not None:
+        monkeypatch.setattr(sampling, "BLOCK_SIZE", block)
+    dist, sizes = EXHAUSTIVE_CASES[case]
+    for k, n in sizes:
+        want = sum((w * d**k for w, d in weighted_dets(case, n)), Fraction(0))
+        assert exhaustive_moment(dist, k, n) == want, (k, n)
+
+
+def test_exhaustive_object_case_leaves_int64():
+    # Cleared of denominators, the "object" support is (-999983, 1000003).
+    assert not _int64_safe(3, 1000003)
 
 
 # -- symbolic targets ------------------------------------------------------
@@ -266,3 +441,39 @@ def test_report_json_shape():
     assert data["exact_target"] == "2"
     no_target = EstimateReport(1.0, 0.1, 10, 0, None).to_json_dict()
     assert "exact_target" not in no_target
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_seeded_discrete_estimates_are_pinned(workers):
+    # Recorded before the determinant kernel was vectorised: the draw and
+    # the exact sums must not change.
+    lopsided = DistributionSpec.discrete(
+        [Fraction(-1), Fraction(0), Fraction(1, 2)],
+        [Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)],
+    )
+    for dist, k, n, samples, seed, estimate, std_error in (
+        (RADEMACHER, 4, 8, 9000, 3, 12719426342.456888, 1171080117.996353),
+        (RADEMACHER, 2, 13, 5000, 1, 6169878226.5344, 315489353.9728115),
+        (lopsided, 3, 6, 9000, 5, 0.32814088270399305, 0.14607261566678298),
+    ):
+        report = mc_estimate(dist, k, n, samples=samples, seed=seed, workers=workers)
+        assert (report.estimate, report.std_error) == (estimate, std_error)
+
+
+def test_normal_overflow_is_an_error_before_the_target(monkeypatch):
+    def no_target(*args):
+        raise AssertionError("the exact target was built")
+
+    monkeypatch.setattr(sampling, "exact_moment_target", no_target)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="overflow float64"):
+            mc_estimate(NORMAL, 6, 60, samples=100, seed=0)
+
+
+def test_discrete_overflow_is_an_error():
+    wide = DistributionSpec.discrete(
+        [Fraction(-1000), Fraction(1000)], [Fraction(1, 2), Fraction(1, 2)]
+    )
+    with pytest.raises(OverflowError, match="overflow float64"):
+        mc_estimate(wide, 6, 20, samples=50, seed=0)
