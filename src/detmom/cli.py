@@ -14,7 +14,7 @@ Subcommands:
 Results go to stdout, progress to stderr.  Exit codes: 0 success, 1
 verification failure, 2 budget refusal, 64 usage error or a Monte-Carlo
 sum beyond float64 range.  The environment variable ``DETMOM_BUDGET``
-overrides the default enumeration budgets.
+overrides the default budgets of ``oracle``, ``exhaustive`` and ``mc``.
 """
 
 from __future__ import annotations
@@ -218,8 +218,15 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 def _cmd_mc(args: argparse.Namespace) -> int:
     _check_kn(args.k, args.n)
     dist = _build_dist(args)
+    budget = args.budget if args.budget is not None else _env_budget()
     report = mc_estimate(
-        dist, args.k, args.n, samples=args.samples, seed=args.seed, workers=args.workers
+        dist,
+        args.k,
+        args.n,
+        samples=args.samples,
+        seed=args.seed,
+        workers=args.workers,
+        budget=budget,
     )
     if args.format == "json":
         print(json.dumps(report.to_json_dict()))
@@ -328,6 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_dist(p)
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--budget", type=int, default=None)
     p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     add_format(p)
     p.set_defaults(fn=_cmd_mc)

@@ -29,11 +29,17 @@ class BudgetExceededError(RuntimeError):
     Carries the offending size so callers can report the bound that was hit.
     """
 
-    def __init__(self, required: int, budget: int, what: str = "enumeration"):
+    def __init__(
+        self,
+        required: int,
+        budget: int,
+        what: str = "enumeration",
+        unit: str = "weight evaluations",
+    ):
         self.required = required
         self.budget = budget
         super().__init__(
-            f"{what} needs {_count_text(required)} weight evaluations, "
+            f"{what} needs {_count_text(required)} {unit}, "
             f"over the budget of {_count_text(budget)}"
         )
 

@@ -45,6 +45,7 @@ from .poly import Rational, central_to_raw
 BLOCK_SIZE = 4096
 DEFAULT_SAMPLES = 10**6
 DEFAULT_EXHAUSTIVE_BUDGET = 10**6
+DEFAULT_MC_BUDGET = 10**8
 
 
 class DistKind(Enum):
@@ -376,12 +377,22 @@ def mc_estimate(
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
     workers: int = 1,
+    budget: Optional[int] = None,
 ) -> EstimateReport:
-    """Monte-Carlo estimate of E[det(A)^k]; deterministic per seed."""
+    """Monte-Carlo estimate of E[det(A)^k]; deterministic per seed.
+
+    Raises `BudgetExceededError` before drawing anything if ``samples``
+    exceeds ``budget`` (default `DEFAULT_MC_BUDGET`).
+    """
     if samples < 2:
         raise ValueError("need at least two samples for a standard error")
     if k < 1 or n < 0:
         raise ValueError("need k >= 1 and n >= 0")
+    budget = DEFAULT_MC_BUDGET if budget is None else budget
+    if samples > budget:
+        raise BudgetExceededError(
+            samples, budget, f"Monte-Carlo estimate for k={k}, n={n}", unit="samples"
+        )
 
     blocks = []
     start = 0

@@ -332,6 +332,40 @@ def test_budget_refusal_prints_small_counts_in_full(capsys):
     )
 
 
+def test_mc_refuses_a_sample_count_over_the_default_budget(capsys, monkeypatch):
+    from detmom import sampling
+
+    def no_sampling(*args):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(sampling, "_run_blocks", no_sampling)
+    code, out, err = run(
+        capsys, "mc", "--dist", "rademacher", "--k", "2", "--n", "8",
+        "--samples", "1000000000", "--workers", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "refused: Monte-Carlo estimate for k=2, n=8 needs 1000000000 samples, "
+        "over the budget of 100000000\n"
+    )
+
+
+def test_mc_budget_flag_and_env_var(capsys, monkeypatch):
+    argv = ("mc", "--dist", "rademacher", "--k", "2", "--n", "2",
+            "--samples", "1000", "--workers", "1")
+    code, _, err = run(capsys, *argv, "--budget", "999")
+    assert code == 2
+    assert "needs 1000 samples, over the budget of 999" in err
+    assert run(capsys, *argv, "--budget", "1000")[0] == 0
+    monkeypatch.setenv("DETMOM_BUDGET", "999")
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "over the budget of 999" in err
+    # The flag wins over the environment.
+    assert run(capsys, *argv, "--budget", "1000")[0] == 0
+
+
 def test_mc_normal_overflow_exits_with_message(capsys):
     code, out, err = run(
         capsys, "mc", "--dist", "normal", "--k", "6", "--n", "60",

@@ -292,6 +292,19 @@ def test_exhaustive_budget_refusal():
         exhaustive_moment(RADEMACHER, 2, 4, budget=100)
 
 
+def test_mc_budget_refusal_happens_before_any_sampling(monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(sampling, "_run_blocks", no_sampling)
+    with pytest.raises(BudgetExceededError) as err:
+        mc_estimate(RADEMACHER, 2, 8, samples=10**9)
+    assert err.value.required == 10**9
+    assert err.value.budget == sampling.DEFAULT_MC_BUDGET == 10**8
+    with pytest.raises(BudgetExceededError):
+        mc_estimate(RADEMACHER, 2, 2, samples=101, budget=100)
+
+
 def test_exhaustive_agrees_with_symbolic_targets():
     for k, n in ((1, 1), (2, 2), (2, 3), (4, 2), (6, 2)):
         target = exact_moment_target(RADEMACHER, k, n)

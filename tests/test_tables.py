@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import itertools
+import random
+from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given
@@ -279,12 +281,14 @@ def test_oracle_matches_second_moment():
 
 
 def test_oracle_matches_fourth_moment():
-    for n in range(4):
+    # Up to p(6) * 6!^2 = 5,702,400 tables.
+    for n in range(7):
         assert oracle_moment(4, n) == central_to_raw(fourth_moment(n))
 
 
 def test_oracle_matches_sixth_moment_once_centered():
-    for n in range(3):
+    # Up to p(4) * 4!^4 = 1,658,880 tables.
+    for n in range(5):
         assert oracle_moment(6, n).substitute(1, 0) == sixth_moment_zero_mean(n)
 
 
@@ -302,13 +306,27 @@ def test_marked_oracle_matches_fourth_moment_directly():
 
 def test_odd_powers():
     assert oracle_moment(1, 1) == raw_symbol(1)
+    assert oracle_moment(1, 1, mode=TableMode.MARKED) == central_mono({1: 1})
     assert oracle_moment(1, 2).is_zero
     assert oracle_moment(3, 1) == raw_symbol(3)
     assert oracle_moment(3, 2).is_zero
+    # E[det A] = 0 for n >= 2: the permutation signs cancel.
+    for n in range(2, 6):
+        for mode in TableMode:
+            assert oracle_moment(1, n, mode=mode).is_zero
+            assert oracle_moment(1, n, mode=mode, reduction=Reduction.FULL).is_zero
 
 
 def test_zero_dimensional_determinant():
     assert oracle_moment(2, 0) == MomentPolynomial.constant(1, Basis.RAW)
+    for mode in TableMode:
+        basis = Basis.RAW if mode is TableMode.PLAIN else Basis.CENTRAL
+        for k in range(1, 7):
+            for reduction in Reduction:
+                if reduction is Reduction.FIRST_ROW_IDENTITY and k % 2:
+                    continue
+                got = oracle_moment(k, 0, mode=mode, reduction=reduction)
+                assert got == MomentPolynomial.constant(1, basis)
 
 
 # -- budget and parallelism ------------------------------------------------
@@ -372,3 +390,163 @@ def test_oracle_weight_capacity_follows_k():
     assert p == second_moment(2)
     with pytest.raises(ValueError):
         oracle_moment(4, 2, max_order=2)
+
+
+def test_progress_is_reported_once_per_block(monkeypatch):
+    monkeypatch.setattr(tables, "BLOCK_SIZE", 100)
+    seen = []
+    oracle_moment(4, 3, progress=lambda done, total: seen.append((done, total)))
+    # p(3) * 3!^2 = 108 tables: one full block and one of 8.
+    assert seen == [(100, 108), (108, 108)]
+
+
+# -- the block kernel against a pure-Python column-run reference -----------
+
+MARK = -1
+
+
+def reference_weight(rows, marked):
+    """{slot: exponent} of a table's weight, or None when mu_1 = 0 kills it.
+
+    Runs of equal values in each sorted column: a run of marks adds its
+    length to slot 0 (m_1), a run of c >= 2 values adds one to slot c, and a
+    lone value adds one to slot 0 (plain) or kills the table (marked).
+    """
+    exp = Counter()
+    for column in zip(*rows):
+        for value, run in itertools.groupby(sorted(column)):
+            c = len(list(run))
+            if value == MARK:
+                exp[0] += c
+            elif c > 1:
+                exp[c] += 1
+            elif marked:
+                return None
+            else:
+                exp[0] += 1
+    return exp
+
+
+def reference_groups(plan, k, table_ids, marked):
+    """Summed signs per (exponent tuple, orbit option) over the given tables."""
+    out = Counter()
+    for t in table_ids:
+        digits = []
+        for radix in reversed(plan.radices):
+            t, d = divmod(t, radix)
+            digits.append(d)
+        digits.reverse()
+        rows = [
+            tuple(int(col[j][d]) for j in range(plan.n))
+            for col, d in zip(plan.columns, digits)
+        ]
+        exp = reference_weight(rows, marked)
+        if exp is None:
+            continue
+        sign = prod(int(signs[digits[i]]) for i, signs in plan.signs)
+        option = 0 if plan.orbit_axis is None else digits[plan.orbit_axis]
+        out[tuple(exp[c] for c in range(k + 1)), option] += sign
+    return {g: s for g, s in out.items() if s}
+
+
+def kernel_groups(plan, k, lo, hi):
+    low = (1 << plan.key_bits) - 1
+    out = Counter()
+    for group, s in tables._accumulate_range(plan, lo, hi).items():
+        out[plan.unpack(group & low, k), group >> plan.key_bits] += s
+    return {g: s for g, s in out.items() if s}
+
+
+@pytest.mark.parametrize("mode", list(TableMode))
+@pytest.mark.parametrize("k", range(1, 7))
+def test_block_kernel_matches_the_column_run_reference(monkeypatch, k, mode):
+    # Small blocks, so a range crosses block boundaries.
+    monkeypatch.setattr(tables, "BLOCK_SIZE", 64)
+    rng = random.Random(f"{k}-{mode.value}")
+    marked = mode is TableMode.MARKED
+    reductions = [r for r in Reduction if not (r is Reduction.FIRST_ROW_IDENTITY and k % 2)]
+    for n in range(6):
+        for reduction in reductions:
+            plan = tables._plan(k, n, mode, reduction)
+            count = prod(plan.radices)
+            assert count == table_count(k, n, mode, reduction)
+            # The first tables (mostly alive in marked mode), a random run,
+            # and random single tables.
+            start = rng.randrange(count)
+            ranges = [(0, min(count, 200)), (start, min(count, start + 200))]
+            ranges += [(t, t + 1) for t in (rng.randrange(count) for _ in range(30))]
+            for lo, hi in ranges:
+                assert kernel_groups(plan, k, lo, hi) == reference_groups(
+                    plan, k, range(lo, hi), marked
+                ), (n, reduction, lo, hi)
+
+
+def reference_oracle(k, n, mode):
+    """E[det^k] summed over every table with the reference column rule."""
+    marks = (None,) if mode is TableMode.PLAIN else (None, *range(n))
+    options = [
+        (tuple(MARK if pos == mark else v for pos, v in enumerate(p)), inversion_parity(p))
+        for p in itertools.permutations(range(n))
+        for mark in marks
+    ]
+    acc = Counter()
+    for combo in itertools.product(options, repeat=k):
+        exp = reference_weight([values for values, _ in combo], mode is TableMode.MARKED)
+        if exp is not None:
+            acc[tuple(exp[c] for c in range(9))] += prod(s for _, s in combo)
+    basis = Basis.RAW if mode is TableMode.PLAIN else Basis.CENTRAL
+    return MomentPolynomial(basis, {e: c for e, c in acc.items() if c})
+
+
+@pytest.mark.parametrize(
+    "k, n, mode",
+    [
+        (3, 3, TableMode.PLAIN),
+        (3, 4, TableMode.PLAIN),
+        (4, 3, TableMode.PLAIN),
+        (5, 2, TableMode.PLAIN),
+        (6, 2, TableMode.PLAIN),
+        (2, 4, TableMode.MARKED),
+        (3, 3, TableMode.MARKED),
+        (4, 2, TableMode.MARKED),
+        (6, 1, TableMode.MARKED),
+    ],
+)
+def test_every_reduction_matches_the_reference_oracle(k, n, mode):
+    expected = reference_oracle(k, n, mode)
+    for reduction in Reduction:
+        if reduction is Reduction.FIRST_ROW_IDENTITY and k % 2:
+            continue
+        assert oracle_moment(k, n, mode=mode, reduction=reduction) == expected
+
+
+@pytest.mark.parametrize("mode", list(TableMode))
+def test_row_options_are_every_permutation_with_its_sign(mode):
+    for n in range(7):
+        values, signs = tables._row_options(n, mode)
+        marks = (None,) if mode is TableMode.PLAIN else (None, *range(n))
+        expected = sorted(
+            (tuple(MARK if pos == mark else v for pos, v in enumerate(p)), inversion_parity(p))
+            for p in itertools.permutations(range(n))
+            for mark in marks
+        )
+        assert sorted(zip(map(tuple, values.tolist()), signs.tolist())) == expected
+
+
+def test_orbit_weights_past_int64_stay_exact():
+    # The largest orbit of S_22, the 21-cycles, has 22!/21 > 2^63 members.
+    sizes = [abs(signed) for _, signed in tables._orbit_options(22, TableMode.PLAIN)]
+    assert max(sizes) == factorial(22) // 21 > 2**63
+    assert oracle_moment(2, 22) == second_moment(22)
+
+
+def test_kernel_limits_are_refused_before_any_work(monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(tables, "_axes", no_enumeration)
+    with pytest.raises(ValueError, match="k <= 16"):
+        oracle_moment(17, 1)
+    # p(40) * 40!^2 tables do not fit a 64-bit index.
+    with pytest.raises(ValueError, match="64-bit"):
+        oracle_moment(3, 40, budget=10**200)
