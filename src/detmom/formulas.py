@@ -11,6 +11,17 @@ order.  Conventions:
   callers must substitute m_1 = 0 themselves when comparing against
   general-mean quantities.
 
+The closed forms are the coefficients of t^n in the factored generating
+functions, times n!^2, with the n!^2 folded into every coefficient from the
+start so all arithmetic stays in Python ints.  Each is summed by Horner's
+rule in its non-monomial factor: the k = 4 forms in the excess
+mu_4 - 3 mu_2^2, the k = 6 form in q_4 and then in q_6 after a
+convolution with (1 + m_3^2 t)^10: O(n^2) products by polynomials of at
+most four terms.  A moment whose weight k*n reaches the packing limit of
+`detmom.poly` is refused with `OrderCapacityError` before any product.  The
+``*_egf`` series are built independently, from `TruncatedEGF` products,
+``exp`` and composition, and `verify` checks the closed forms against them.
+
 ``gaussian_det_moment(k, n)`` evaluates the standard-normal case for any even
 k directly as a product of factorial ratios.
 """
@@ -26,6 +37,7 @@ from .poly import (
     DEFAULT_MAX_ORDER,
     Basis,
     MomentPolynomial,
+    _check_limit,
     central_mean,
     central_symbol,
     raw_symbol,
@@ -37,14 +49,39 @@ from .series import (
     t_times,
 )
 
+# -- shared helpers --------------------------------------------------------
+
+
+def _check_weight(k: int, n: int) -> None:
+    """Refuse E[det^k] at size n before any work if its weight k*n cannot pack."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    _check_limit(k * n)
+
+
+def _powers(p: MomentPolynomial, top: int) -> list[MomentPolynomial]:
+    """[1, p, p^2, ..., p^top]."""
+    out = [MomentPolynomial.constant(1, p.basis, p.max_order)]
+    for _ in range(top):
+        out.append(out[-1] * p)
+    return out
+
+
+def _horner(x: MomentPolynomial, parts: list[MomentPolynomial]) -> MomentPolynomial:
+    """sum_j parts[j] * x^j, one product by ``x`` per step."""
+    total = parts[-1]
+    for part in reversed(parts[:-1]):
+        total = total * x + part
+    return total
+
+
 # -- k = 2 -----------------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
 def second_moment(n: int, max_order: int = DEFAULT_MAX_ORDER) -> MomentPolynomial:
     """E[det(A)^2] = n! (m_2 + (n-1) m_1^2)(m_2 - m_1^2)^(n-1), raw basis."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _check_weight(2, n)
     if n == 0:
         return MomentPolynomial.constant(1, Basis.RAW, max_order)
     m1 = raw_symbol(1, max_order)
@@ -126,40 +163,40 @@ def _d_factor(w: int, c: int) -> int:
 
 @lru_cache(maxsize=None)
 def fourth_moment(n: int, max_order: int = DEFAULT_MAX_ORDER) -> MomentPolynomial:
-    """E[det(A)^4] in the central basis, any mean, as a finite triple sum."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    """E[det(A)^4] in the central basis, any mean.
+
+    The table sum runs over w doubly-marked columns (w <= 2), s columns
+    pairing m_1 with mu_3 and c plain column pairs; what is left of the n
+    columns, e = n - c - s, carries the excess mu_4 - 3 mu_2^2.  Grouped by e
+    it is sum_e P_e (mu_4 - 3 mu_2^2)^e with P_e a sum of at most nine
+    monomials, evaluated by Horner's rule in the excess: n products by a
+    two-term polynomial, all with integer coefficients.
+    """
+    _check_weight(4, n)
     m1 = central_mean(max_order)
     mu2 = central_symbol(2, max_order)
     mu3 = central_symbol(3, max_order)
     mu4 = central_symbol(4, max_order)
-    excess = mu4 - 3 * mu2**2
-    excess_pow: dict[int, MomentPolynomial] = {
-        0: MomentPolynomial.constant(1, Basis.CENTRAL, max_order)
-    }
-    for j in range(1, n + 1):
-        excess_pow[j] = excess_pow[j - 1] * excess
-
-    total = MomentPolynomial.zero(Basis.CENTRAL, max_order)
-    for w in range(3):
-        for s in range(4 - 2 * w + 1):
-            for c in range(n - s + 1):
+    mu2_pow = _powers(mu2, 2 * n)
+    nf = factorial(n)
+    parts = []
+    for e in range(n + 1):
+        part = MomentPolynomial.zero(Basis.CENTRAL, max_order)
+        for w in range(3):
+            for s in range(min(4 - 2 * w, n - e) + 1):
+                c = n - e - s
                 d = _d_factor(w, c)
                 if d == 0:
                     continue
-                # 2c - w < 0 only happens alongside d = 0 (c = 0, w > 0).
-                coef = Fraction(
-                    comb(4 - 2 * w, s) * (1 + c) * d,
-                    factorial(n - c - s) * factorial(2 - w) * factorial(w),
+                # 2c - w < 0 only happens alongside d = 0 (c = 0, w > 0), and
+                # (1 + c) d is even whenever (2 - w)! w! = 2.
+                table = comb(4 - 2 * w, s) * (1 + c) * d
+                coef = nf * (nf // factorial(e)) * (
+                    table // (factorial(2 - w) * factorial(w))
                 )
-                total = total + (
-                    coef
-                    * m1 ** (s + 2 * w)
-                    * mu2 ** (2 * c - w)
-                    * mu3**s
-                    * excess_pow[n - c - s]
-                )
-    return factorial(n) ** 2 * total
+                part = part + coef * m1 ** (s + 2 * w) * mu3**s * mu2_pow[2 * c - w]
+        parts.append(part)
+    return _horner(mu4 - 3 * mu2**2, parts)
 
 
 @lru_cache(maxsize=None)
@@ -192,20 +229,21 @@ def fourth_moment_egf(
 def fourth_moment_zero_mean(
     n: int, max_order: int = DEFAULT_MAX_ORDER
 ) -> MomentPolynomial:
-    """E[det(A)^4] for centered entries, raw basis in m_2 and m_4."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    """E[det(A)^4] for centered entries, raw basis in m_2 and m_4.
+
+    n!^2 sum_j C(n-j+2, 2) / j! * (m_4 - 3 m_2^2)^j * m_2^(2(n-j)), by
+    Horner's rule in the excess m_4 - 3 m_2^2 with integer coefficients.
+    """
+    _check_weight(4, n)
     m2 = raw_symbol(2, max_order)
     m4 = raw_symbol(4, max_order)
-    excess = m4 - 3 * m2**2
-    total = MomentPolynomial.zero(Basis.RAW, max_order)
-    power = MomentPolynomial.constant(1, Basis.RAW, max_order)
-    for j in range(n + 1):
-        total = total + (
-            Fraction(comb(n - j + 2, 2), factorial(j)) * power * m2 ** (2 * (n - j))
-        )
-        power = power * excess
-    return factorial(n) ** 2 * total
+    m2_sq = _powers(m2**2, n)
+    nf = factorial(n)
+    parts = [
+        nf * (nf // factorial(j)) * comb(n - j + 2, 2) * m2_sq[n - j]
+        for j in range(n + 1)
+    ]
+    return _horner(m4 - 3 * m2**2, parts)
 
 
 class MarkClass(Enum):
@@ -271,39 +309,47 @@ def _q4(max_order: int) -> MomentPolynomial:
 def sixth_moment_zero_mean(
     n: int, max_order: int = DEFAULT_MAX_ORDER
 ) -> MomentPolynomial:
-    """E[det(A)^6] for centered entries, raw basis in m_2, m_3, m_4, m_6."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    """E[det(A)^6] for centered entries, raw basis in m_2, m_3, m_4, m_6.
+
+    The coefficient of t^n in the factored F_6 (see
+    `sixth_moment_zero_mean_egf`), times n!^2, as a four-index convolution
+    with a the power of q_6, c that of m_3^2, b that of q_4 and i that of
+    m_2^3:
+
+        n!^2 sum_{a+b+c+i=n} q_6^a / a! * C(10, c) m_3^(2c)
+                             * g(i) C(14+b+3i, b) q_4^b m_2^(3i),
+
+    g(i) = (1+i)(2+i)(4+i)!/48.  It is summed in three one-index steps,
+    H_r = sum_{i+b=r} (...), K_s = sum_c C(10, c) m_3^(2c) H_(s-c) and
+    sum_a n! (n!/a!) q_6^a K_(n-a), with Horner's rule in q_4 and q_6: O(n^2)
+    polynomial products, each by a polynomial of at most four terms, and
+    integer coefficients throughout.
+    """
+    _check_weight(6, n)
     m2 = raw_symbol(2, max_order)
     m3 = raw_symbol(3, max_order)
     q6, q4 = _q6(max_order), _q4(max_order)
+    m2_cube = _powers(m2**3, n)
+    m3_sq = _powers(m3**2, 10)
 
-    def powers(p: MomentPolynomial, top: int) -> list[MomentPolynomial]:
-        out = [MomentPolynomial.constant(1, Basis.RAW, max_order)]
-        for _ in range(top):
-            out.append(out[-1] * p)
-        return out
+    def g(i: int) -> int:
+        return (1 + i) * (2 + i) * factorial(4 + i) // 48
 
-    q6_pow = powers(q6, n)
-    q4_pow = powers(q4, n)
-
-    total = MomentPolynomial.zero(Basis.RAW, max_order)
-    for j in range(n + 1):
-        for i in range(j + 1):
-            for c in range(n - j + 1):
-                coef = Fraction(
-                    (1 + i) * (2 + i) * factorial(4 + i) * comb(10, c)
-                    * comb(14 + j + 2 * i, j - i),
-                    48 * factorial(n - j - c),
-                )
-                total = total + (
-                    coef
-                    * q6_pow[n - j - c]
-                    * q4_pow[j - i]
-                    * m3 ** (2 * c)
-                    * m2 ** (3 * i)
-                )
-    return factorial(n) ** 2 * total
+    H = []
+    for r in range(n + 1):
+        parts = [  # i = r - b
+            g(r - b) * comb(14 + b + 3 * (r - b), b) * m2_cube[r - b]
+            for b in range(r + 1)
+        ]
+        H.append(_horner(q4, parts))
+    K = []
+    for s in range(n + 1):
+        k_s = MomentPolynomial.zero(Basis.RAW, max_order)
+        for c in range(min(10, s) + 1):
+            k_s = k_s + comb(10, c) * m3_sq[c] * H[s - c]
+        K.append(k_s)
+    nf = factorial(n)
+    return _horner(q6, [nf * (nf // factorial(a)) * K[n - a] for a in range(n + 1)])
 
 
 @lru_cache(maxsize=None)

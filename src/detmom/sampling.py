@@ -269,10 +269,14 @@ def exact_moment_target(dist: DistributionSpec, k: int, n: int) -> Optional[Frac
 
     Covers k = 2 and 4 for any entry law, k = 6 for centered entries, and
     any even k for standard normal entries; returns None otherwise (odd
-    moments beyond k = 1 have no known closed form).
+    moments beyond k = 1 have no known closed form).  Standard normal
+    entries with an even k take the Gaussian product form, which needs no
+    polynomial.
     """
     if n == 0:
         return Fraction(1)
+    if dist.kind is DistKind.STD_NORMAL and k % 2 == 0:
+        return gaussian_det_moment(k, n)
     moments = exact_moments(dist, max(k, 6))
     mean = moments[1]
     rest = {r: v for r, v in moments.items() if r >= 2}
@@ -284,8 +288,6 @@ def exact_moment_target(dist: DistributionSpec, k: int, n: int) -> Optional[Frac
         return central_to_raw(fourth_moment(n)).evaluate(rest, mean)
     if k == 6 and mean == 0:
         return sixth_moment_zero_mean(n).evaluate(rest, mean)
-    if dist.kind is DistKind.STD_NORMAL and k % 2 == 0:
-        return gaussian_det_moment(k, n)
     return None
 
 

@@ -68,6 +68,20 @@ def test_closed_unsupported_power_is_usage_error(capsys):
     assert code == 64
 
 
+@pytest.mark.parametrize(
+    "argv,weight",
+    [(("--k", "4", "--n", "17000"), 68000),
+     (("--k", "6", "--n", "11000", "--central-only"), 66000)],
+)
+def test_closed_past_the_packing_limit_exits_at_once(capsys, argv, weight):
+    # The refusal names the weight k*n of the result: it comes before any
+    # polynomial product, not after thousands of them.
+    code, out, err = run(capsys, "closed", *argv)
+    assert code == 64
+    assert out == ""
+    assert f"grading weight {weight} reaches the packing limit" in err
+
+
 def test_closed_json_round_trips(capsys):
     code, out, _ = run(
         capsys, "closed", "--k", "2", "--n", "3", "--format", "json"

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
+from detmom.errors import OrderCapacityError
 from detmom.formulas import (
     MarkClass,
     fourth_moment,
@@ -22,8 +23,11 @@ from detmom.formulas import (
     sixth_moment_zero_mean_egf,
 )
 from detmom.poly import (
+    WEIGHT_LIMIT,
     Basis,
     MomentPolynomial,
+    central_mean,
+    central_symbol,
     central_to_raw,
     raw_symbol,
 )
@@ -122,8 +126,8 @@ def test_sixth_moment_base_cases():
 
 
 def test_sixth_moment_egf_extraction():
-    F6 = sixth_moment_zero_mean_egf(6)
-    for n in range(7):
+    F6 = sixth_moment_zero_mean_egf(12)
+    for n in range(13):
         assert F6.det_moment(n) == sixth_moment_zero_mean(n)
 
 
@@ -149,6 +153,109 @@ def test_sixth_moment_seed_composition_linear_coefficient():
     composed = gaussian_sixth_egf(4).compose(inner)
     lin = composed.coefficient(1)
     assert lin.evaluate({2: 1, 3: 0, 4: 3, 5: 0, 6: 15}, 0) == 15
+
+
+# -- factored builders against the flattened sums --------------------------
+#
+# The builders sum the factored forms by Horner's rule with integer
+# coefficients.  These references are the flattened sums they replace, term
+# by term with Fraction coefficients and the n!^2 cleared at the end.
+
+
+def _fourth_moment_triple_sum(n: int) -> MomentPolynomial:
+    m1, mu2, mu3, mu4 = (
+        central_mean(), central_symbol(2), central_symbol(3), central_symbol(4)
+    )
+    excess = mu4 - 3 * mu2**2
+
+    def d_factor(w: int, c: int) -> int:
+        return (2 + c, c * (2 + c), c**3)[w]
+
+    total = MomentPolynomial.zero(Basis.CENTRAL)
+    for w in range(3):
+        for s in range(4 - 2 * w + 1):
+            for c in range(n - s + 1):
+                d = d_factor(w, c)
+                if d == 0:
+                    continue
+                coef = Fraction(
+                    comb(4 - 2 * w, s) * (1 + c) * d,
+                    factorial(n - c - s) * factorial(2 - w) * factorial(w),
+                )
+                total = total + (
+                    coef * m1 ** (s + 2 * w) * mu2 ** (2 * c - w) * mu3**s
+                    * excess ** (n - c - s)
+                )
+    return factorial(n) ** 2 * total
+
+
+def _fourth_moment_zero_mean_sum(n: int) -> MomentPolynomial:
+    m2, m4 = raw_symbol(2), raw_symbol(4)
+    excess = m4 - 3 * m2**2
+    total = MomentPolynomial.zero(Basis.RAW)
+    for j in range(n + 1):
+        total = total + (
+            Fraction(comb(n - j + 2, 2), factorial(j)) * excess**j
+            * m2 ** (2 * (n - j))
+        )
+    return factorial(n) ** 2 * total
+
+
+def _sixth_moment_triple_sum(n: int) -> MomentPolynomial:
+    m2, m3, m4, m6 = (raw_symbol(r) for r in (2, 3, 4, 6))
+    q6 = m6 - 10 * m3**2 - 15 * m4 * m2 + 30 * m2**3
+    q4 = m4 * m2 - 3 * m2**3
+    total = MomentPolynomial.zero(Basis.RAW)
+    for j in range(n + 1):
+        for i in range(j + 1):
+            for c in range(n - j + 1):
+                coef = Fraction(
+                    (1 + i) * (2 + i) * factorial(4 + i) * comb(10, c)
+                    * comb(14 + j + 2 * i, j - i),
+                    48 * factorial(n - j - c),
+                )
+                total = total + (
+                    coef * q6 ** (n - j - c) * q4 ** (j - i) * m3 ** (2 * c)
+                    * m2 ** (3 * i)
+                )
+    return factorial(n) ** 2 * total
+
+
+def test_fourth_moment_matches_triple_sum():
+    for n in range(17):
+        assert fourth_moment(n) == _fourth_moment_triple_sum(n)
+        assert fourth_moment_zero_mean(n) == _fourth_moment_zero_mean_sum(n)
+
+
+def test_sixth_moment_matches_triple_sum():
+    for n in range(13):
+        assert sixth_moment_zero_mean(n) == _sixth_moment_triple_sum(n)
+
+
+@pytest.mark.parametrize(
+    "builder",
+    [second_moment, fourth_moment, fourth_moment_zero_mean, sixth_moment_zero_mean],
+)
+def test_closed_forms_have_int_coefficients(builder):
+    for n in (0, 1, 2, 5, 12):
+        assert all(type(c) is int for c in builder(n)._terms.values())
+
+
+@pytest.mark.parametrize(
+    "k,builder",
+    [
+        (2, second_moment),
+        (4, fourth_moment),
+        (4, fourth_moment_zero_mean),
+        (6, sixth_moment_zero_mean),
+    ],
+)
+def test_builders_refuse_the_packing_limit_before_any_work(k, builder):
+    # The first n whose weight k*n reaches the limit is refused with the
+    # weight of the result, not with that of a product formed partway through.
+    n = -(-WEIGHT_LIMIT // k)
+    with pytest.raises(OrderCapacityError, match=f"weight {k * n} "):
+        builder(n)
 
 
 # -- mark classes at unit variance -----------------------------------------

@@ -13,7 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detmom.errors import BudgetExceededError
-from detmom.formulas import gaussian_det_moment
+from detmom.formulas import (
+    fourth_moment,
+    gaussian_det_moment,
+    gaussian_moment_table,
+    second_moment,
+    sixth_moment_zero_mean,
+)
+from detmom.poly import central_to_raw
 from detmom import sampling
 from detmom.sampling import (
     DistKind,
@@ -377,6 +384,29 @@ def test_targets_worked_by_hand():
     assert exact_moment_target(RADEMACHER, 4, 3) == 96
     assert exact_moment_target(NORMAL, 6, 2) == 720
     assert exact_moment_target(NORMAL, 8, 3) == gaussian_det_moment(8, 3)
+
+
+def test_normal_targets_equal_the_polynomials():
+    moments = gaussian_moment_table(6)
+    rest = {r: v for r, v in moments.items() if r >= 2}
+    for n in range(11):
+        polys = {
+            2: second_moment(n),
+            4: central_to_raw(fourth_moment(n)),
+            6: sixth_moment_zero_mean(n),
+        }
+        for k, p in polys.items():
+            assert exact_moment_target(NORMAL, k, n) == p.evaluate(rest, 0)
+
+
+def test_normal_targets_build_no_polynomial(monkeypatch):
+    def refuse(n):
+        raise AssertionError("the product form needs no polynomial")
+
+    for name in ("second_moment", "fourth_moment", "sixth_moment_zero_mean"):
+        monkeypatch.setattr(sampling, name, refuse)
+    for k in (2, 4, 6):
+        assert exact_moment_target(NORMAL, k, 24) == gaussian_det_moment(k, 24)
 
 
 def test_targets_unknown_cases_return_none():
