@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from detmom.cli import main
 from detmom.errors import _count_text
-from detmom.poly import MomentPolynomial
+from detmom.poly import Basis, MomentPolynomial
 
 
 def run(capsys, *argv):
@@ -90,6 +91,99 @@ def test_closed_json_round_trips(capsys):
     text_code, text_out, _ = run(capsys, "closed", "--k", "2", "--n", "3")
     rebuilt = MomentPolynomial.from_json_dict(json.loads(out))
     assert rebuilt.to_text() == text_out.strip()
+
+
+# -- the JSON wire format --------------------------------------------------
+
+# Dense exponent vectors run to slot max(8, highest nonzero slot); the oracle
+# writes at least k + 1 slots, even for an empty or a constant result.
+WIRE = [
+    (
+        ("closed", "--k", "4", "--n", "2"),
+        '{"basis": "central", "max_order": 8, "terms": ['
+        '{"coef": ["2", "1"], "exp": [0, 0, 0, 0, 2, 0, 0, 0, 0]}, '
+        '{"coef": ["16", "1"], "exp": [1, 0, 0, 1, 1, 0, 0, 0, 0]}, '
+        '{"coef": ["24", "1"], "exp": [2, 0, 1, 0, 1, 0, 0, 0, 0]}, '
+        '{"coef": ["4", "1"], "exp": [4, 0, 0, 0, 1, 0, 0, 0, 0]}, '
+        '{"coef": ["24", "1"], "exp": [2, 0, 0, 2, 0, 0, 0, 0, 0]}, '
+        '{"coef": ["48", "1"], "exp": [3, 0, 1, 1, 0, 0, 0, 0, 0]}, '
+        '{"coef": ["6", "1"], "exp": [0, 0, 4, 0, 0, 0, 0, 0, 0]}, '
+        '{"coef": ["24", "1"], "exp": [2, 0, 3, 0, 0, 0, 0, 0, 0]}, '
+        '{"coef": ["36", "1"], "exp": [4, 0, 2, 0, 0, 0, 0, 0, 0]}]}',
+    ),
+    (
+        ("series", "--k", "2", "--order", "2"),
+        '{"convention": "f-convention", "order": 2, "coeffs": ['
+        '[0, {"basis": "raw", "max_order": 8, "terms": ['
+        '{"coef": ["1", "1"], "exp": [0, 0, 0, 0, 0, 0, 0, 0, 0]}]}], '
+        '[1, {"basis": "raw", "max_order": 8, "terms": ['
+        '{"coef": ["1", "1"], "exp": [0, 0, 1, 0, 0, 0, 0, 0, 0]}]}], '
+        '[2, {"basis": "raw", "max_order": 8, "terms": ['
+        '{"coef": ["1", "2"], "exp": [0, 0, 2, 0, 0, 0, 0, 0, 0]}, '
+        '{"coef": ["-1", "2"], "exp": [4, 0, 0, 0, 0, 0, 0, 0, 0]}]}]]}',
+    ),
+    (
+        ("oracle", "--k", "9", "--n", "2"),
+        '{"basis": "raw", "max_order": 9, "terms": []}',
+    ),
+    (
+        ("oracle", "--k", "10", "--n", "0"),
+        '{"basis": "raw", "max_order": 10, "terms": ['
+        '{"coef": ["1", "1"], "exp": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]}]}',
+    ),
+    (
+        ("oracle", "--k", "12", "--n", "1", "--mode", "marked"),
+        '{"basis": "central", "max_order": 12, "terms": ['
+        '{"coef": ["1", "1"], "exp": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1]}, '
+        '{"coef": ["12", "1"], "exp": [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0]}, '
+        '{"coef": ["66", "1"], "exp": [2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0]}, '
+        '{"coef": ["220", "1"], "exp": [3, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0]}, '
+        '{"coef": ["495", "1"], "exp": [4, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0]}, '
+        '{"coef": ["792", "1"], "exp": [5, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0]}, '
+        '{"coef": ["924", "1"], "exp": [6, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0]}, '
+        '{"coef": ["792", "1"], "exp": [7, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0]}, '
+        '{"coef": ["495", "1"], "exp": [8, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0]}, '
+        '{"coef": ["220", "1"], "exp": [9, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0]}, '
+        '{"coef": ["66", "1"], "exp": [10, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]}, '
+        '{"coef": ["1", "1"], "exp": [12, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]}]}',
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, want", WIRE, ids=[" ".join(a) for a, _ in WIRE])
+def test_json_wire_format_is_pinned(capsys, argv, want):
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, out, err) == (0, want + "\n", "")
+
+
+def test_json_reader_takes_a_narrow_document():
+    doc = {
+        "basis": "raw",
+        "max_order": 4,
+        "terms": [
+            {"coef": ["3", "2"], "exp": [1, 0, 0, 0, 1]},
+            {"coef": ["-1", "1"], "exp": [0, 0, 2, 0, 0]},
+        ],
+    }
+    p = MomentPolynomial.from_json_dict(doc)
+    assert p.to_text() == "3/2*m1*m4 - m2^2"
+    assert p == MomentPolynomial.monomial(Fraction(3, 2), {1: 1, 4: 1}, Basis.RAW) - (
+        MomentPolynomial.monomial(1, {2: 2}, Basis.RAW)
+    )
+
+
+@pytest.mark.parametrize(
+    "exp",
+    [
+        [0, 0, 1, 0, 0, 0],  # six slots under "max_order": 4
+        [0, 1, 0, 0, 0],  # order-1 symbols live in slot 0
+        [0, 0, -1, 0, 0],
+    ],
+)
+def test_json_reader_rejects_malformed_vectors(exp):
+    doc = {"basis": "raw", "max_order": 4, "terms": [{"coef": ["1", "1"], "exp": exp}]}
+    with pytest.raises(ValueError):
+        MomentPolynomial.from_json_dict(doc)
 
 
 # -- series ----------------------------------------------------------------
