@@ -39,7 +39,7 @@ from .formulas import (
     sixth_moment_zero_mean,
     sixth_moment_zero_mean_egf,
 )
-from .poly import Basis, MomentPolynomial, central_to_raw, raw_to_central
+from .poly import DENSE_ORDER, Basis, MomentPolynomial, central_to_raw, raw_to_central
 from .sampling import (
     DEFAULT_SAMPLES,
     DistributionSpec,
@@ -81,9 +81,9 @@ def _check_kn(k: int, n: Optional[int] = None, order: Optional[int] = None) -> N
         raise UsageError(f"order must be between 0 and {MAX_SERIES_ORDER}")
 
 
-def _print_poly(p: MomentPolynomial, fmt: str) -> None:
+def _print_poly(p: MomentPolynomial, fmt: str, min_order: int = DENSE_ORDER) -> None:
     if fmt == "json":
-        print(json.dumps(p.to_json_dict()))
+        print(json.dumps(p.to_json_dict(min_order)))
     else:
         print(p.to_text())
 
@@ -211,7 +211,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         workers=args.workers,
         progress=progress,
     )
-    _print_poly(p, args.format)
+    # The JSON vectors hold a slot for every column weight up to k, even
+    # where no term uses it.
+    _print_poly(p, args.format, max(DENSE_ORDER, args.k))
     return 0
 
 

@@ -8,10 +8,10 @@ class BasisMismatchError(ValueError):
 
 
 class OrderCapacityError(ValueError):
-    """Raised when a moment symbol exceeds the configured maximum order.
+    """Raised when a polynomial's grading weight would reach the packing limit.
 
-    Also raised when a polynomial's grading weight would reach the packing
-    limit of `detmom.poly`.
+    The limit is `detmom.poly.WEIGHT_LIMIT`; polynomials have no other
+    capacity.
     """
 
 

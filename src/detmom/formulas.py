@@ -17,8 +17,16 @@ start so all arithmetic stays in Python ints.  Each is summed by Horner's
 rule in its non-monomial factor: the k = 4 forms in the excess
 mu_4 - 3 mu_2^2, the k = 6 form in q_4 and then in q_6 after a
 convolution with (1 + m_3^2 t)^10: O(n^2) products by polynomials of at
-most four terms.  A moment whose weight k*n reaches the packing limit of
-`detmom.poly` is refused with `OrderCapacityError` before any product.  The
+most four terms.
+
+Each closed form is written once, as a private function of n and its moment
+symbols that uses only ``+``, ``*``, ``**`` and int scalars.  The coefficient
+of t^n is an identity in any commutative ring, so the same function gives
+the symbolic polynomial when it is called with `MomentPolynomial` symbols
+(the cached public builders) and an exact number when it is called with a
+law's `Fraction` moments (`detmom.sampling.exact_moment_target`).  Only the
+symbolic builders refuse, with `OrderCapacityError` before any product, a
+moment whose weight k*n reaches the packing limit of `detmom.poly`.  The
 ``*_egf`` series are built independently, from `TruncatedEGF` products,
 ``exp`` and composition, and `verify` checks the closed forms against them.
 
@@ -34,7 +42,6 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .poly import (
-    DEFAULT_MAX_ORDER,
     Basis,
     MomentPolynomial,
     _check_limit,
@@ -59,15 +66,15 @@ def _check_weight(k: int, n: int) -> None:
     _check_limit(k * n)
 
 
-def _powers(p: MomentPolynomial, top: int) -> list[MomentPolynomial]:
+def _powers(p, top: int) -> list:
     """[1, p, p^2, ..., p^top]."""
-    out = [MomentPolynomial.constant(1, p.basis, p.max_order)]
+    out = [p**0]
     for _ in range(top):
         out.append(out[-1] * p)
     return out
 
 
-def _horner(x: MomentPolynomial, parts: list[MomentPolynomial]) -> MomentPolynomial:
+def _horner(x, parts: list):
     """sum_j parts[j] * x^j, one product by ``x`` per step."""
     total = parts[-1]
     for part in reversed(parts[:-1]):
@@ -78,24 +85,24 @@ def _horner(x: MomentPolynomial, parts: list[MomentPolynomial]) -> MomentPolynom
 # -- k = 2 -----------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def second_moment(n: int, max_order: int = DEFAULT_MAX_ORDER) -> MomentPolynomial:
-    """E[det(A)^2] = n! (m_2 + (n-1) m_1^2)(m_2 - m_1^2)^(n-1), raw basis."""
-    _check_weight(2, n)
+def _second_moment(n: int, m1, m2):
     if n == 0:
-        return MomentPolynomial.constant(1, Basis.RAW, max_order)
-    m1 = raw_symbol(1, max_order)
-    m2 = raw_symbol(2, max_order)
+        return m2**0
     return factorial(n) * (m2 + (n - 1) * m1**2) * (m2 - m1**2) ** (n - 1)
 
 
 @lru_cache(maxsize=None)
-def second_moment_egf(
-    order: int, max_order: int = DEFAULT_MAX_ORDER
-) -> TruncatedEGF:
+def second_moment(n: int) -> MomentPolynomial:
+    """E[det(A)^2] = n! (m_2 + (n-1) m_1^2)(m_2 - m_1^2)^(n-1), raw basis."""
+    _check_weight(2, n)
+    return _second_moment(n, raw_symbol(1), raw_symbol(2))
+
+
+@lru_cache(maxsize=None)
+def second_moment_egf(order: int) -> TruncatedEGF:
     """F_2(t) = (1 + m_1^2 t) exp((m_2 - m_1^2) t)."""
-    m1 = raw_symbol(1, max_order)
-    m2 = raw_symbol(2, max_order)
+    m1 = raw_symbol(1)
+    m2 = raw_symbol(2)
     growth = t_times(m2 - m1**2, order, Convention.F_CONVENTION).exp()
     return polynomial_in_t([1, m1**2], order, Convention.F_CONVENTION) * growth
 
@@ -130,11 +137,7 @@ def gaussian_moment_table(up_to: int) -> dict[int, Fraction]:
 
 
 @lru_cache(maxsize=None)
-def gaussian_sixth_egf(
-    order: int,
-    max_order: int = DEFAULT_MAX_ORDER,
-    basis: Basis = Basis.RAW,
-) -> TruncatedEGF:
+def gaussian_sixth_egf(order: int) -> TruncatedEGF:
     """N_6(t) = sum_n (n+1)(n+2)(n+4)!/48 t^n, the Gaussian sixth-moment series.
 
     Its coefficients are gaussian_det_moment(6, n)/n!^2, i.e. the k = 6
@@ -142,7 +145,7 @@ def gaussian_sixth_egf(
     """
     coeffs = [
         MomentPolynomial.constant(
-            Fraction((n + 1) * (n + 2) * factorial(n + 4), 48), basis, max_order
+            Fraction((n + 1) * (n + 2) * factorial(n + 4), 48), Basis.RAW
         )
         for n in range(order + 1)
     ]
@@ -161,27 +164,12 @@ def _d_factor(w: int, c: int) -> int:
     return c**3
 
 
-@lru_cache(maxsize=None)
-def fourth_moment(n: int, max_order: int = DEFAULT_MAX_ORDER) -> MomentPolynomial:
-    """E[det(A)^4] in the central basis, any mean.
-
-    The table sum runs over w doubly-marked columns (w <= 2), s columns
-    pairing m_1 with mu_3 and c plain column pairs; what is left of the n
-    columns, e = n - c - s, carries the excess mu_4 - 3 mu_2^2.  Grouped by e
-    it is sum_e P_e (mu_4 - 3 mu_2^2)^e with P_e a sum of at most nine
-    monomials, evaluated by Horner's rule in the excess: n products by a
-    two-term polynomial, all with integer coefficients.
-    """
-    _check_weight(4, n)
-    m1 = central_mean(max_order)
-    mu2 = central_symbol(2, max_order)
-    mu3 = central_symbol(3, max_order)
-    mu4 = central_symbol(4, max_order)
+def _fourth_moment(n: int, m1, mu2, mu3, mu4):
     mu2_pow = _powers(mu2, 2 * n)
     nf = factorial(n)
     parts = []
     for e in range(n + 1):
-        part = MomentPolynomial.zero(Basis.CENTRAL, max_order)
+        part = 0
         for w in range(3):
             for s in range(min(4 - 2 * w, n - e) + 1):
                 c = n - e - s
@@ -200,15 +188,30 @@ def fourth_moment(n: int, max_order: int = DEFAULT_MAX_ORDER) -> MomentPolynomia
 
 
 @lru_cache(maxsize=None)
-def fourth_moment_egf(
-    order: int, max_order: int = DEFAULT_MAX_ORDER
-) -> TruncatedEGF:
+def fourth_moment(n: int) -> MomentPolynomial:
+    """E[det(A)^4] in the central basis, any mean.
+
+    The table sum runs over w doubly-marked columns (w <= 2), s columns
+    pairing m_1 with mu_3 and c plain column pairs; what is left of the n
+    columns, e = n - c - s, carries the excess mu_4 - 3 mu_2^2.  Grouped by e
+    it is sum_e P_e (mu_4 - 3 mu_2^2)^e with P_e a sum of at most nine
+    monomials, evaluated by Horner's rule in the excess: n products by a
+    two-term polynomial, all with integer coefficients.
+    """
+    _check_weight(4, n)
+    return _fourth_moment(
+        n, central_mean(), central_symbol(2), central_symbol(3), central_symbol(4)
+    )
+
+
+@lru_cache(maxsize=None)
+def fourth_moment_egf(order: int) -> TruncatedEGF:
     """F_4(t) in the central basis, any mean."""
     conv = Convention.F_CONVENTION
-    m1 = central_mean(max_order)
-    mu2 = central_symbol(2, max_order)
-    mu3 = central_symbol(3, max_order)
-    mu4 = central_symbol(4, max_order)
+    m1 = central_mean()
+    mu2 = central_symbol(2)
+    mu3 = central_symbol(3)
+    mu4 = central_symbol(4)
 
     growth = t_times(mu4 - 3 * mu2**2, order, conv).exp()
     seq = t_times(mu2**2, order, conv).geometric()  # 1/(1 - mu2^2 t)
@@ -216,27 +219,15 @@ def fourth_moment_egf(
 
     bracket = marked_pair.pow(4)
     bracket = bracket + 6 * m1**2 * mu2 * t_times(
-        MomentPolynomial.constant(1, Basis.CENTRAL, max_order), order, conv
+        MomentPolynomial.constant(1, Basis.CENTRAL), order, conv
     ) * marked_pair.pow(2) * seq
     bracket = bracket + m1**4 * polynomial_in_t(
-        [0, 1, 7 * mu2**2, 4 * mu2**4], order, conv,
-        basis=Basis.CENTRAL, max_order=max_order,
+        [0, 1, 7 * mu2**2, 4 * mu2**4], order, conv, basis=Basis.CENTRAL
     ) * seq.pow(2)
     return growth * seq.pow(3) * bracket
 
 
-@lru_cache(maxsize=None)
-def fourth_moment_zero_mean(
-    n: int, max_order: int = DEFAULT_MAX_ORDER
-) -> MomentPolynomial:
-    """E[det(A)^4] for centered entries, raw basis in m_2 and m_4.
-
-    n!^2 sum_j C(n-j+2, 2) / j! * (m_4 - 3 m_2^2)^j * m_2^(2(n-j)), by
-    Horner's rule in the excess m_4 - 3 m_2^2 with integer coefficients.
-    """
-    _check_weight(4, n)
-    m2 = raw_symbol(2, max_order)
-    m4 = raw_symbol(4, max_order)
+def _fourth_moment_zero_mean(n: int, m2, m4):
     m2_sq = _powers(m2**2, n)
     nf = factorial(n)
     parts = [
@@ -244,6 +235,17 @@ def fourth_moment_zero_mean(
         for j in range(n + 1)
     ]
     return _horner(m4 - 3 * m2**2, parts)
+
+
+@lru_cache(maxsize=None)
+def fourth_moment_zero_mean(n: int) -> MomentPolynomial:
+    """E[det(A)^4] for centered entries, raw basis in m_2 and m_4.
+
+    n!^2 sum_j C(n-j+2, 2) / j! * (m_4 - 3 m_2^2)^j * m_2^(2(n-j)), by
+    Horner's rule in the excess m_4 - 3 m_2^2 with integer coefficients.
+    """
+    _check_weight(4, n)
+    return _fourth_moment_zero_mean(n, raw_symbol(2), raw_symbol(4))
 
 
 class MarkClass(Enum):
@@ -257,9 +259,7 @@ class MarkClass(Enum):
 
 
 @lru_cache(maxsize=None)
-def mark_class_egf(
-    which: MarkClass, order: int, max_order: int = DEFAULT_MAX_ORDER
-) -> TruncatedEGF:
+def mark_class_egf(which: MarkClass, order: int) -> TruncatedEGF:
     """Generating function of one mark class of F_4 with mu_2 set to 1.
 
     The classes split tables by how many entries are replaced by their mean:
@@ -267,9 +267,9 @@ def mark_class_egf(
     four marks occupy one column pair or two separate columns.
     """
     conv = Convention.F_CONVENTION
-    m1 = central_mean(max_order)
-    mu4 = central_symbol(4, max_order)
-    one = MomentPolynomial.constant(1, Basis.CENTRAL, max_order)
+    m1 = central_mean()
+    mu4 = central_symbol(4)
+    one = MomentPolynomial.constant(1, Basis.CENTRAL)
 
     growth = t_times(mu4 - 3 * one, order, conv).exp()
     seq = t_times(one, order, conv).geometric()  # 1/(1 - t)
@@ -280,35 +280,54 @@ def mark_class_egf(
         return 6 * m1**2 * t_times(one, order, conv) * growth * seq.pow(4)
     if which is MarkClass.FOUR_ONE_COL:
         return m1**4 * polynomial_in_t(
-            [0, 1, 2], order, conv, basis=Basis.CENTRAL, max_order=max_order
+            [0, 1, 2], order, conv, basis=Basis.CENTRAL
         ) * growth * seq.pow(4)
     if which is MarkClass.FOUR_TWO_COLS:
         return 6 * m1**4 * polynomial_in_t(
-            [0, 0, 1, 1], order, conv, basis=Basis.CENTRAL, max_order=max_order
+            [0, 0, 1, 1], order, conv, basis=Basis.CENTRAL
         ) * growth * seq.pow(5)
     # FOUR = FOUR_ONE_COL + FOUR_TWO_COLS
-    return mark_class_egf(MarkClass.FOUR_ONE_COL, order, max_order) + mark_class_egf(
-        MarkClass.FOUR_TWO_COLS, order, max_order
+    return mark_class_egf(MarkClass.FOUR_ONE_COL, order) + mark_class_egf(
+        MarkClass.FOUR_TWO_COLS, order
     )
 
 
 # -- k = 6, centered entries -----------------------------------------------
 
 
-def _q6(max_order: int) -> MomentPolynomial:
-    m2, m3, m4, m6 = (raw_symbol(r, max_order) for r in (2, 3, 4, 6))
+def _q6(m2, m3, m4, m6):
     return m6 - 10 * m3**2 - 15 * m4 * m2 + 30 * m2**3
 
 
-def _q4(max_order: int) -> MomentPolynomial:
-    m2, m4 = raw_symbol(2, max_order), raw_symbol(4, max_order)
+def _q4(m2, m4):
     return m4 * m2 - 3 * m2**3
 
 
+def _sixth_moment_zero_mean(n: int, m2, m3, m4, m6):
+    q6, q4 = _q6(m2, m3, m4, m6), _q4(m2, m4)
+    m2_cube = _powers(m2**3, n)
+    m3_sq = _powers(m3**2, 10)
+
+    def g(i: int) -> int:
+        return (1 + i) * (2 + i) * factorial(4 + i) // 48
+
+    H = []
+    for r in range(n + 1):
+        parts = [  # i = r - b
+            g(r - b) * comb(14 + b + 3 * (r - b), b) * m2_cube[r - b]
+            for b in range(r + 1)
+        ]
+        H.append(_horner(q4, parts))
+    K = [
+        sum(comb(10, c) * m3_sq[c] * H[s - c] for c in range(min(10, s) + 1))
+        for s in range(n + 1)
+    ]
+    nf = factorial(n)
+    return _horner(q6, [nf * (nf // factorial(a)) * K[n - a] for a in range(n + 1)])
+
+
 @lru_cache(maxsize=None)
-def sixth_moment_zero_mean(
-    n: int, max_order: int = DEFAULT_MAX_ORDER
-) -> MomentPolynomial:
+def sixth_moment_zero_mean(n: int) -> MomentPolynomial:
     """E[det(A)^6] for centered entries, raw basis in m_2, m_3, m_4, m_6.
 
     The coefficient of t^n in the factored F_6 (see
@@ -326,36 +345,11 @@ def sixth_moment_zero_mean(
     integer coefficients throughout.
     """
     _check_weight(6, n)
-    m2 = raw_symbol(2, max_order)
-    m3 = raw_symbol(3, max_order)
-    q6, q4 = _q6(max_order), _q4(max_order)
-    m2_cube = _powers(m2**3, n)
-    m3_sq = _powers(m3**2, 10)
-
-    def g(i: int) -> int:
-        return (1 + i) * (2 + i) * factorial(4 + i) // 48
-
-    H = []
-    for r in range(n + 1):
-        parts = [  # i = r - b
-            g(r - b) * comb(14 + b + 3 * (r - b), b) * m2_cube[r - b]
-            for b in range(r + 1)
-        ]
-        H.append(_horner(q4, parts))
-    K = []
-    for s in range(n + 1):
-        k_s = MomentPolynomial.zero(Basis.RAW, max_order)
-        for c in range(min(10, s) + 1):
-            k_s = k_s + comb(10, c) * m3_sq[c] * H[s - c]
-        K.append(k_s)
-    nf = factorial(n)
-    return _horner(q6, [nf * (nf // factorial(a)) * K[n - a] for a in range(n + 1)])
+    return _sixth_moment_zero_mean(n, *(raw_symbol(r) for r in (2, 3, 4, 6)))
 
 
 @lru_cache(maxsize=None)
-def sixth_moment_zero_mean_egf(
-    order: int, max_order: int = DEFAULT_MAX_ORDER
-) -> TruncatedEGF:
+def sixth_moment_zero_mean_egf(order: int) -> TruncatedEGF:
     """F_6(t) for centered entries, assembled from its factored form.
 
     The series is (1 + m_3^2 t)^10 * exp(q_6 t) / (1 - q_4 t)^15 composed
@@ -364,13 +358,12 @@ def sixth_moment_zero_mean_egf(
     the pole.
     """
     conv = Convention.F_CONVENTION
-    m2 = raw_symbol(2, max_order)
-    m3 = raw_symbol(3, max_order)
-    q6, q4 = _q6(max_order), _q4(max_order)
+    m2, m3, m4, m6 = (raw_symbol(r) for r in (2, 3, 4, 6))
+    q6, q4 = _q6(m2, m3, m4, m6), _q4(m2, m4)
 
     skew = polynomial_in_t([1, m3**2], order, conv).pow(10)
     growth = t_times(q6, order, conv).exp()
     seq = t_times(q4, order, conv).geometric()  # 1/(1 - q4 t)
     inner = t_times(m2**3, order, conv) * seq.pow(3)
-    gaussian_part = gaussian_sixth_egf(order, max_order, Basis.RAW).compose(inner)
+    gaussian_part = gaussian_sixth_egf(order).compose(inner)
     return skew * growth * seq.pow(15) * gaussian_part

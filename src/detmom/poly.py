@@ -9,17 +9,19 @@ supported:
 
 mu_1 is identically zero and is never represented.
 
-Every monomial has an exponent vector of length ``max_order + 1``: slot 0
-holds the power of the mean m_1, slot r (2 <= r <= max_order) the power of the
-order-r symbol of the basis, and slot 1 is always zero.  The grading weight of
-a monomial is ``exp[0] + sum(r * exp[r] for r >= 2)``; E[det(A)^k] is
-homogeneous of weight k*n in this grading.  `MomentPolynomial.terms` and the
-JSON form show these dense vectors.
+A monomial has an exponent vector: slot 0 holds the power of the mean m_1,
+slot r >= 2 the power of the order-r symbol of the basis, and slot 1 is
+always zero.  The grading weight of a monomial is
+``exp[0] + sum(r * exp[r] for r >= 2)``; E[det(A)^k] is homogeneous of
+weight k*n in this grading.
 
 Inside, a monomial is one packed integer key, ``sum(exp[s] << (SLOT_BITS * s))``
 (Kronecker substitution), so multiplying two monomials is one integer
-addition, and trailing empty slots add nothing to the key: polynomials that
-differ only in ``max_order`` have equal keys.  Comparing keys as integers
+addition, and trailing empty slots add nothing to the key.  A polynomial
+therefore has no width and no capacity: any symbol order is allowed, up to
+the packing limit below.  The dense vectors that `MomentPolynomial.terms`
+and the JSON form write are derived when they are written, and run to slot
+``max(DENSE_ORDER, highest nonzero slot)``.  Comparing keys as integers
 compares exponents from the highest slot down, which gives the canonical
 term order.
 
@@ -35,12 +37,13 @@ the formulas produce never touch `Fraction` arithmetic.  `terms` and
 `constant_term` still return `Fraction` values.
 
 The public constructors (``MomentPolynomial(...)``, `MomentPolynomial.monomial`
-and `MomentPolynomial.from_json_dict`) check their input: exponent vector
-length, signs, the unused slot 1, the packing limit, and rational
-coefficients; `MomentPolynomial.zero` and `MomentPolynomial.constant` have no
-exponents to check.  Arithmetic, conversion and the structural maps build
-their results from terms that are already checked, through a trusted
-constructor that checks nothing again.
+and `MomentPolynomial.from_json_dict`) check their input: signs, the unused
+slot 1, the packing limit, rational coefficients and, in the JSON form,
+vector lengths that agree with the written ``max_order``;
+`MomentPolynomial.zero` and `MomentPolynomial.constant` have no exponents to
+check.  Arithmetic, conversion and the structural maps build their results
+from terms that are already checked, through a trusted constructor that
+checks nothing again.
 """
 
 from __future__ import annotations
@@ -55,7 +58,9 @@ from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import BasisMismatchError, MissingMomentError, OrderCapacityError
 
-DEFAULT_MAX_ORDER = 8
+# Dense exponent vectors, in `MomentPolynomial.terms` and the JSON form, run
+# at least to this slot, so their width does not change with the terms.
+DENSE_ORDER = 8
 
 Rational = Union[int, Fraction]
 ExpVector = tuple[int, ...]
@@ -137,6 +142,11 @@ def _key_weight(key: int) -> int:
     return weight
 
 
+def _top_slot(terms: Terms) -> int:
+    """Highest slot with a nonzero exponent in any key, -1 when there is none."""
+    return (max((key.bit_length() for key in terms), default=0) - 1) // SLOT_BITS
+
+
 def _sort_key(key: int) -> tuple[int, int]:
     # Canonical term order: grading weight first, then exponents compared from
     # the highest-order symbol down, which is the order of the packed keys;
@@ -198,26 +208,18 @@ def _mul_terms(a: Terms, b: Terms) -> Terms:
 class MomentPolynomial:
     """Immutable exact polynomial in moment symbols of a fixed basis."""
 
-    __slots__ = ("_basis", "_max_order", "_terms", "_top")
+    __slots__ = ("_basis", "_terms", "_top")
 
     def __init__(
         self,
         basis: Basis,
         terms: Mapping[ExpVector, Rational] | Iterable[tuple[ExpVector, Rational]],
-        max_order: int = DEFAULT_MAX_ORDER,
     ):
-        if max_order < 2:
-            raise OrderCapacityError("max_order must be at least 2")
-        width = max_order + 1
         summed: dict[int, Fraction] = {}
         top = 0
         items = terms.items() if isinstance(terms, Mapping) else terms
         for exp, coef in items:
             exp = tuple(exp)
-            if len(exp) != width:
-                raise OrderCapacityError(
-                    f"exponent vector has length {len(exp)}, expected {width}"
-                )
             if any(e < 0 for e in exp):
                 raise ValueError("negative exponent")
             if len(exp) > 1 and exp[1] != 0:
@@ -225,75 +227,57 @@ class MomentPolynomial:
             c = _rational(coef)
             if c == 0:
                 continue
-            weight = exp[0] + sum(r * e for r, e in enumerate(exp) if r >= 2)
+            weight = sum((r or 1) * e for r, e in enumerate(exp))  # slot 1 is empty
             _check_limit(weight)
             top = max(top, weight)
             key = _pack(exp)
             summed[key] = summed.get(key, 0) + c
         self._basis = basis
-        self._max_order = max_order
         self._terms = _clean(summed)
         self._top = top
 
     @classmethod
-    def _make(cls, basis: Basis, terms: Terms, max_order: int, top: int) -> "MomentPolynomial":
+    def _make(cls, basis: Basis, terms: Terms, top: int) -> "MomentPolynomial":
         """Trusted constructor: ``terms`` are clean and their weights at most ``top``."""
         p = object.__new__(cls)
         p._basis = basis
-        p._max_order = max_order
         p._terms = terms
         p._top = top if terms else 0
         return p
 
     def _like(self, terms: Terms, top: int | None = None) -> "MomentPolynomial":
         return MomentPolynomial._make(
-            self._basis, terms, self._max_order, self._top if top is None else top
+            self._basis, terms, self._top if top is None else top
         )
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, basis: Basis, max_order: int = DEFAULT_MAX_ORDER) -> "MomentPolynomial":
-        return cls.constant(0, basis, max_order)
+    def zero(cls, basis: Basis) -> "MomentPolynomial":
+        return cls.constant(0, basis)
 
     @classmethod
-    def constant(
-        cls, value: Rational, basis: Basis, max_order: int = DEFAULT_MAX_ORDER
-    ) -> "MomentPolynomial":
-        if max_order < 2:
-            raise OrderCapacityError("max_order must be at least 2")
+    def constant(cls, value: Rational, basis: Basis) -> "MomentPolynomial":
         c = _rational(value)
-        return cls._make(basis, {0: c} if c else {}, max_order, 0)
+        return cls._make(basis, {0: c} if c else {}, 0)
 
     @classmethod
     def monomial(
-        cls,
-        coef: Rational,
-        powers: Mapping[int, int],
-        basis: Basis,
-        max_order: int = DEFAULT_MAX_ORDER,
+        cls, coef: Rational, powers: Mapping[int, int], basis: Basis
     ) -> "MomentPolynomial":
         """Build ``coef * prod(symbol_r ** powers[r])``, keys are symbol orders."""
-        exp = [0] * (max_order + 1)
+        exp = [0] * (max(powers, default=0) + 1)
         for order, e in powers.items():
             if order < 1:
                 raise ValueError("symbol orders start at 1")
-            if order > max_order:
-                raise OrderCapacityError(
-                    f"symbol of order {order} exceeds max_order {max_order}"
-                )
             exp[0 if order == 1 else order] += e
-        return cls(basis, {tuple(exp): coef}, max_order)
+        return cls(basis, {tuple(exp): coef})
 
     # -- basic state -------------------------------------------------------
 
     @property
     def basis(self) -> Basis:
         return self._basis
-
-    @property
-    def max_order(self) -> int:
-        return self._max_order
 
     @property
     def is_zero(self) -> bool:
@@ -307,9 +291,17 @@ class MomentPolynomial:
         for exp, coef in self._ordered():
             yield exp, Fraction(coef)
 
-    def _ordered(self) -> list[tuple[ExpVector, Rational]]:
-        # `terms` with the stored int or Fraction coefficients.
-        width = self._max_order + 1
+    def _dense_order(self, min_order: int) -> int:
+        # Highest slot of the dense vectors: ``min_order`` or the highest
+        # nonzero slot, whichever is larger.
+        return max(min_order, _top_slot(self._terms))
+
+    def _ordered(
+        self, min_order: int = DENSE_ORDER
+    ) -> list[tuple[ExpVector, Rational]]:
+        # `terms` with the stored int or Fraction coefficients, in vectors
+        # that run to slot ``min_order`` at least.
+        width = self._dense_order(min_order) + 1
         terms = self._terms
         return [
             (_unpack(key, width), terms[key])
@@ -335,14 +327,9 @@ class MomentPolynomial:
                 raise BasisMismatchError(
                     f"cannot combine {self._basis.value} and {other._basis.value} polynomials"
                 )
-            if other._max_order != self._max_order:
-                raise OrderCapacityError(
-                    "cannot combine polynomials with different max_order "
-                    f"({self._max_order} vs {other._max_order})"
-                )
             return other
         if isinstance(other, (int, Fraction)):
-            return MomentPolynomial.constant(other, self._basis, self._max_order)
+            return MomentPolynomial.constant(other, self._basis)
         return None
 
     def __add__(self, other: object) -> "MomentPolynomial":
@@ -397,7 +384,7 @@ class MomentPolynomial:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers need a nonnegative integer exponent")
         _check_limit(self._top * exponent)
-        result = MomentPolynomial.constant(1, self._basis, self._max_order)
+        result = MomentPolynomial.constant(1, self._basis)
         base = self
         e = exponent
         while e:
@@ -432,8 +419,8 @@ class MomentPolynomial:
 
     def substitute(self, order: int, value: Rational) -> "MomentPolynomial":
         """Replace the order-``order`` symbol by a rational constant."""
-        if order < 1 or order > self._max_order:
-            raise OrderCapacityError(f"no symbol of order {order}")
+        if order < 1:
+            raise ValueError(f"no symbol of order {order}")
         shift = SLOT_BITS * (0 if order == 1 else order)
         value = _rational(value)
         out: Terms = {}
@@ -505,80 +492,81 @@ class MomentPolynomial:
     def __repr__(self) -> str:
         return f"MomentPolynomial({self.to_text()!r}, basis={self._basis.value})"
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, min_order: int = DENSE_ORDER) -> dict:
+        """JSON form; its vectors run to slot ``max_order``, at least ``min_order``."""
+        max_order = self._dense_order(min_order)
         return {
             "basis": self._basis.value,
-            "max_order": self._max_order,
+            "max_order": max_order,
             "terms": [
                 {
                     "coef": [str(c.numerator), str(c.denominator)],
                     "exp": list(exp),
                 }
-                for exp, c in self._ordered()
+                for exp, c in self._ordered(max_order)
             ],
         }
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "MomentPolynomial":
         basis = Basis(data["basis"])
-        max_order = int(data["max_order"])
+        width = int(data["max_order"]) + 1
         terms = []
         for t in data["terms"]:
+            exp = tuple(int(e) for e in t["exp"])
+            if len(exp) != width:
+                raise ValueError(
+                    f"exponent vector has length {len(exp)}, expected {width}"
+                )
             num, den = (int(s) for s in t["coef"])
-            terms.append((tuple(int(e) for e in t["exp"]), Fraction(num, den)))
-        return cls(basis, terms, max_order)
+            terms.append((exp, Fraction(num, den)))
+        return cls(basis, terms)
 
 
 # -- symbol builders -------------------------------------------------------
 
 
-def raw_symbol(r: int, max_order: int = DEFAULT_MAX_ORDER) -> MomentPolynomial:
+def raw_symbol(r: int) -> MomentPolynomial:
     """The raw moment m_r as a polynomial (r = 1 gives the mean)."""
     MomentSymbol(SymbolKind.RAW if r != 1 else SymbolKind.MEAN, r)
-    return MomentPolynomial.monomial(1, {r: 1}, Basis.RAW, max_order)
+    return MomentPolynomial.monomial(1, {r: 1}, Basis.RAW)
 
 
-def central_symbol(r: int, max_order: int = DEFAULT_MAX_ORDER) -> MomentPolynomial:
+def central_symbol(r: int) -> MomentPolynomial:
     """The central moment mu_r (r >= 2) as a polynomial."""
     MomentSymbol(SymbolKind.CENTRAL, r)
-    return MomentPolynomial.monomial(1, {r: 1}, Basis.CENTRAL, max_order)
+    return MomentPolynomial.monomial(1, {r: 1}, Basis.CENTRAL)
 
 
-def central_mean(max_order: int = DEFAULT_MAX_ORDER) -> MomentPolynomial:
+def central_mean() -> MomentPolynomial:
     """The mean m_1 tagged as a central-basis polynomial."""
-    return MomentPolynomial.monomial(1, {1: 1}, Basis.CENTRAL, max_order)
+    return MomentPolynomial.monomial(1, {1: 1}, Basis.CENTRAL)
 
 
 # -- basis conversion ------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
-def _central_in_raw(r: int, max_order: int) -> MomentPolynomial:
+def _central_in_raw(r: int) -> MomentPolynomial:
     # mu_r = sum_j C(r, j) m_j (-m_1)^(r-j), with m_0 = 1.
-    m1 = raw_symbol(1, max_order)
-    total = MomentPolynomial.zero(Basis.RAW, max_order)
+    m1 = raw_symbol(1)
+    total = MomentPolynomial.zero(Basis.RAW)
     for j in range(r + 1):
-        base = (
-            MomentPolynomial.constant(1, Basis.RAW, max_order)
-            if j == 0
-            else raw_symbol(j, max_order)
-        )
+        base = MomentPolynomial.constant(1, Basis.RAW) if j == 0 else raw_symbol(j)
         total = total + comb(r, j) * (-1) ** (r - j) * base * m1 ** (r - j)
     return total
 
 
 @lru_cache(maxsize=None)
-def _raw_in_central(r: int, max_order: int) -> MomentPolynomial:
+def _raw_in_central(r: int) -> MomentPolynomial:
     # m_r = sum_j C(r, j) mu_j m_1^(r-j), with mu_0 = 1 and mu_1 = 0.
-    m1 = central_mean(max_order)
-    total = MomentPolynomial.zero(Basis.CENTRAL, max_order)
+    m1 = central_mean()
+    total = MomentPolynomial.zero(Basis.CENTRAL)
     for j in range(r + 1):
         if j == 1:
             continue
         base = (
-            MomentPolynomial.constant(1, Basis.CENTRAL, max_order)
-            if j == 0
-            else central_symbol(j, max_order)
+            MomentPolynomial.constant(1, Basis.CENTRAL) if j == 0 else central_symbol(j)
         )
         total = total + comb(r, j) * base * m1 ** (r - j)
     return total
@@ -589,7 +577,6 @@ def _convert(p: MomentPolynomial, target: Basis) -> MomentPolynomial:
     # symbol (r >= 2) maps to its expansion E_r, a polynomial homogeneous of
     # weight r, so the result keeps the weight bound of ``p``.
     expand = _central_in_raw if target is Basis.RAW else _raw_in_central
-    R = p.max_order
 
     def horner(terms: Terms, slot: int) -> Terms:
         # ``terms`` use slots 0..slot only.  Write them as sum_e P_e * x^e in
@@ -604,7 +591,7 @@ def _convert(p: MomentPolynomial, target: Basis) -> MomentPolynomial:
             parts.setdefault(e, {})[key - (e << shift)] = coef
         if not any(parts):  # no term uses this slot
             return horner(terms, slot - 1)
-        base = expand(slot, R)._terms
+        base = expand(slot)._terms
         acc: Terms = {}
         for e in range(max(parts), -1, -1):
             if acc:
@@ -616,7 +603,7 @@ def _convert(p: MomentPolynomial, target: Basis) -> MomentPolynomial:
                     acc[key] = get(key, 0) + coef
         return _clean(acc)
 
-    return MomentPolynomial._make(target, horner(p._terms, R), R, p._top)
+    return MomentPolynomial._make(target, horner(p._terms, _top_slot(p._terms)), p._top)
 
 
 def central_to_raw(p: MomentPolynomial) -> MomentPolynomial:

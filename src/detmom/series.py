@@ -28,7 +28,7 @@ from math import factorial
 from typing import Sequence, Union
 
 from .errors import ConventionMismatchError
-from .poly import DEFAULT_MAX_ORDER, Basis, MomentPolynomial, Rational
+from .poly import Basis, MomentPolynomial
 
 DEFAULT_TRUNCATION = 16
 
@@ -52,10 +52,9 @@ class TruncatedEGF:
         if not self.coeffs:
             raise ValueError("a series needs at least the t^0 coefficient")
         basis = self.coeffs[0].basis
-        width = self.coeffs[0].max_order
         for c in self.coeffs:
-            if c.basis is not basis or c.max_order != width:
-                raise ValueError("series coefficients must share basis and max_order")
+            if c.basis is not basis:
+                raise ValueError("series coefficients must share a basis")
 
     # -- state -------------------------------------------------------------
 
@@ -66,10 +65,6 @@ class TruncatedEGF:
     @property
     def basis(self) -> Basis:
         return self.coeffs[0].basis
-
-    @property
-    def max_order(self) -> int:
-        return self.coeffs[0].max_order
 
     def coefficient(self, n: int) -> MomentPolynomial:
         if not 0 <= n <= self.order:
@@ -86,10 +81,10 @@ class TruncatedEGF:
         return TruncatedEGF(self.coeffs, convention)
 
     def _zero_poly(self) -> MomentPolynomial:
-        return MomentPolynomial.zero(self.basis, self.max_order)
+        return MomentPolynomial.zero(self.basis)
 
     def _one_poly(self) -> MomentPolynomial:
-        return MomentPolynomial.constant(1, self.basis, self.max_order)
+        return MomentPolynomial.constant(1, self.basis)
 
     def _check(self, other: "TruncatedEGF") -> None:
         if other.convention is not self.convention:
@@ -243,10 +238,10 @@ class TruncatedEGF:
 # -- constructors ----------------------------------------------------------
 
 
-def _as_poly(c: Coefflike, basis: Basis, max_order: int) -> MomentPolynomial:
+def _as_poly(c: Coefflike, basis: Basis) -> MomentPolynomial:
     if isinstance(c, MomentPolynomial):
         return c
-    return MomentPolynomial.constant(c, basis, max_order)
+    return MomentPolynomial.constant(c, basis)
 
 
 def polynomial_in_t(
@@ -254,18 +249,16 @@ def polynomial_in_t(
     order: int,
     convention: Convention,
     basis: Basis | None = None,
-    max_order: int = DEFAULT_MAX_ORDER,
 ) -> TruncatedEGF:
     """Series for a polynomial in t, zero-padded up to the truncation order."""
     for c in coeffs:
         if isinstance(c, MomentPolynomial):
             basis = c.basis
-            max_order = c.max_order
             break
     if basis is None:
         raise ValueError("give at least one MomentPolynomial coefficient or a basis")
-    polys = [_as_poly(c, basis, max_order) for c in coeffs[: order + 1]]
-    zero = MomentPolynomial.zero(basis, max_order)
+    polys = [_as_poly(c, basis) for c in coeffs[: order + 1]]
+    zero = MomentPolynomial.zero(basis)
     polys.extend([zero] * (order + 1 - len(polys)))
     return TruncatedEGF(tuple(polys), convention)
 
@@ -275,9 +268,8 @@ def constant_series(
     order: int,
     convention: Convention,
     basis: Basis | None = None,
-    max_order: int = DEFAULT_MAX_ORDER,
 ) -> TruncatedEGF:
-    return polynomial_in_t([value], order, convention, basis, max_order)
+    return polynomial_in_t([value], order, convention, basis)
 
 
 def t_times(
@@ -285,7 +277,6 @@ def t_times(
     order: int,
     convention: Convention,
     basis: Basis | None = None,
-    max_order: int = DEFAULT_MAX_ORDER,
 ) -> TruncatedEGF:
     """The series ``value * t``."""
-    return polynomial_in_t([0, value], order, convention, basis, max_order)
+    return polynomial_in_t([0, value], order, convention, basis)

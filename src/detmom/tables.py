@@ -79,7 +79,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError
-from .poly import DEFAULT_MAX_ORDER, Basis, MomentPolynomial
+from .poly import Basis, MomentPolynomial
 
 DEFAULT_BUDGET = 10**8
 # Tables from which a pool of 2 workers beats the serial kernel: measured
@@ -142,7 +142,7 @@ def _check_perm(row: Sequence[int], n: int) -> tuple[int, ...]:
 
 
 def _weight_key(
-    rows: Sequence[Sequence[int]], R: int, marked: bool
+    rows: Sequence[Sequence[int]], marked: bool
 ) -> Optional[tuple[int, ...]]:
     """Exponent vector of a table's weight, or None when mu_1 = 0 kills it.
 
@@ -152,7 +152,7 @@ def _weight_key(
     values are central: a lone unmarked value is mu_1 = 0 and kills the table.
     """
     k = len(rows)
-    exp = [0] * (R + 1)
+    exp = [0] * (k + 1)
     for column in zip(*rows):
         vals = sorted(column)
         j = 0
@@ -201,10 +201,9 @@ class PermutationTable:
             s *= permutation_sign(row)
         return s
 
-    def weight(self, max_order: Optional[int] = None) -> MomentPolynomial:
+    def weight(self) -> MomentPolynomial:
         """Product over columns of m_c per group of c equal values; raw basis."""
-        R = max_order or max(DEFAULT_MAX_ORDER, self.k)
-        return MomentPolynomial(Basis.RAW, {_weight_key(self.rows, R, False): 1}, R)
+        return MomentPolynomial(Basis.RAW, {_weight_key(self.rows, False): 1})
 
 
 def _mask(values: tuple[int, ...], mark: Optional[int]) -> tuple[int, ...]:
@@ -253,16 +252,15 @@ class MarkedTable:
             s *= permutation_sign(row.values)
         return s
 
-    def weight(self, max_order: Optional[int] = None) -> MomentPolynomial:
+    def weight(self) -> MomentPolynomial:
         """Central-basis weight: m_1 per mark, mu_c per group of c unmarked values.
 
         Zero whenever some unmarked value is alone in its column (mu_1 = 0).
         """
-        R = max_order or max(DEFAULT_MAX_ORDER, self.k)
-        key = _weight_key([_mask(r.values, r.mark) for r in self.rows], R, True)
+        key = _weight_key([_mask(r.values, r.mark) for r in self.rows], True)
         if key is None:
-            return MomentPolynomial.zero(Basis.CENTRAL, R)
-        return MomentPolynomial(Basis.CENTRAL, {key: 1}, R)
+            return MomentPolynomial.zero(Basis.CENTRAL)
+        return MomentPolynomial(Basis.CENTRAL, {key: 1})
 
 
 # -- row options -----------------------------------------------------------
@@ -461,10 +459,11 @@ class _Plan:
         shift, width = self.layout[-1]
         return shift + width
 
-    def unpack(self, key: int, R: int) -> tuple[int, ...]:
-        """The R-wide exponent tuple of a packed key."""
-        slots = tuple((key >> shift) & ((1 << width) - 1) for shift, width in self.layout)
-        return slots + (0,) * (R + 1 - len(slots))
+    def unpack(self, key: int) -> tuple[int, ...]:
+        """The exponent tuple, slots 0..k, of a packed key."""
+        return tuple(
+            (key >> shift) & ((1 << width) - 1) for shift, width in self.layout
+        )
 
 
 def _key_layout(k: int, n: int) -> tuple[tuple[int, int], ...]:
@@ -522,7 +521,7 @@ def _column_lookup(
     for code, values in zip(
         _column_codes(column).tolist(), zip(*(c.tolist() for c in column))
     ):
-        exp = _weight_key([(v,) for v in values], k, marked)
+        exp = _weight_key([(v,) for v in values], marked)
         key_lut[code] = -1 if exp is None else sum(
             e << shift for e, (shift, _) in zip(exp, layout)
         )
@@ -649,7 +648,6 @@ def oracle_moment(
     reduction: Optional[Reduction] = None,
     budget: Optional[int] = None,
     workers: int = 1,
-    max_order: Optional[int] = None,
     progress: Optional[ProgressFn] = None,
 ) -> MomentPolynomial:
     """E[det(A)^k] by table enumeration; raw basis (plain) or central (marked).
@@ -666,9 +664,6 @@ def oracle_moment(
     if n < 0:
         raise ValueError("n must be nonnegative")
     reduction = _resolve_reduction(k, reduction)
-    R = max_order or max(DEFAULT_MAX_ORDER, k)
-    if R < k:
-        raise ValueError(f"max_order {R} cannot hold order-{k} column weights")
     budget = DEFAULT_BUDGET if budget is None else budget
     total = table_count(k, n, mode, reduction)
     if total > budget:
@@ -706,5 +701,5 @@ def oracle_moment(
     scale = factorial(n) if _pins_first_row(k, reduction) else 1
     basis = Basis.CENTRAL if mode is TableMode.MARKED else Basis.RAW
     return MomentPolynomial(
-        basis, {plan.unpack(key, R): scale * c for key, c in sums.items() if c}, R
+        basis, {plan.unpack(key): scale * c for key, c in sums.items() if c}
     )

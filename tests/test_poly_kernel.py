@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from detmom.errors import OrderCapacityError
 from detmom.formulas import _d_factor, fourth_moment, second_moment, sixth_moment_zero_mean
 from detmom.poly import (
-    DEFAULT_MAX_ORDER,
+    DENSE_ORDER,
     WEIGHT_LIMIT,
     Basis,
     MomentPolynomial,
@@ -26,7 +26,7 @@ from detmom.poly import (
     raw_to_central,
 )
 
-WIDTH = DEFAULT_MAX_ORDER + 1
+WIDTH = DENSE_ORDER + 1
 
 
 class Ref:

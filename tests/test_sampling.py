@@ -16,11 +16,10 @@ from detmom.errors import BudgetExceededError
 from detmom.formulas import (
     fourth_moment,
     gaussian_det_moment,
-    gaussian_moment_table,
     second_moment,
     sixth_moment_zero_mean,
 )
-from detmom.poly import central_to_raw
+from detmom.poly import MomentPolynomial, central_to_raw
 from detmom import sampling
 from detmom.sampling import (
     DistKind,
@@ -386,27 +385,49 @@ def test_targets_worked_by_hand():
     assert exact_moment_target(NORMAL, 8, 3) == gaussian_det_moment(8, 3)
 
 
-def test_normal_targets_equal_the_polynomials():
-    moments = gaussian_moment_table(6)
+def polynomial_target(dist, k, n):
+    """E[det^k] the old way: build the closed-form polynomial, then evaluate."""
+    moments = exact_moments(dist, 6)
     rest = {r: v for r, v in moments.items() if r >= 2}
-    for n in range(11):
-        polys = {
-            2: second_moment(n),
-            4: central_to_raw(fourth_moment(n)),
-            6: sixth_moment_zero_mean(n),
-        }
-        for k, p in polys.items():
-            assert exact_moment_target(NORMAL, k, n) == p.evaluate(rest, 0)
+    builders = {
+        2: second_moment,
+        4: lambda n: central_to_raw(fourth_moment(n)),
+        6: sixth_moment_zero_mean,
+    }
+    return builders[k](n).evaluate(rest, moments[1])
+
+
+def target_cases():
+    """(law, k) for every law here: k = 2 and 4, and k = 6 when centred."""
+    for dist in [NORMAL] + [dist for dist, _ in EXHAUSTIVE_CASES.values()]:
+        centred = exact_moments(dist, 1)[1] == 0
+        for k in (2, 4, 6) if centred else (2, 4):
+            yield dist, k
+
+
+def test_normal_targets_equal_the_polynomials():
+    # Numbers equal symbols: the Gaussian product form, and the closed forms
+    # run on a law's exact moments, give the polynomial path's value.
+    for dist, k in target_cases():
+        for n in range(11):
+            want = polynomial_target(dist, k, n)
+            assert exact_moment_target(dist, k, n) == want, (dist, k, n)
+    fractional = EXHAUSTIVE_CASES["fractional"][0]
+    non_uniform = EXHAUSTIVE_CASES["non-uniform"][0]
+    assert exact_moment_target(fractional, 4, 30) == polynomial_target(fractional, 4, 30)
+    assert exact_moment_target(non_uniform, 6, 30) == polynomial_target(non_uniform, 6, 30)
 
 
 def test_normal_targets_build_no_polynomial(monkeypatch):
-    def refuse(n):
-        raise AssertionError("the product form needs no polynomial")
+    def refuse(*args):
+        raise AssertionError("a numeric target needs no polynomial")
 
-    for name in ("second_moment", "fourth_moment", "sixth_moment_zero_mean"):
-        monkeypatch.setattr(sampling, name, refuse)
+    monkeypatch.setattr(MomentPolynomial, "__init__", refuse)
+    monkeypatch.setattr(MomentPolynomial, "_make", classmethod(refuse))
     for k in (2, 4, 6):
         assert exact_moment_target(NORMAL, k, 24) == gaussian_det_moment(k, 24)
+    for dist, k in target_cases():
+        assert isinstance(exact_moment_target(dist, k, 24), Fraction), (dist, k)
 
 
 def test_targets_unknown_cases_return_none():

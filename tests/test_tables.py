@@ -384,14 +384,6 @@ def test_progress_reports_reach_the_total():
     assert seen[-1] == (6, 6)
 
 
-def test_oracle_weight_capacity_follows_k():
-    p = oracle_moment(2, 2, max_order=2)
-    assert p.max_order == 2
-    assert p == second_moment(2)
-    with pytest.raises(ValueError):
-        oracle_moment(4, 2, max_order=2)
-
-
 def test_progress_is_reported_once_per_block(monkeypatch):
     monkeypatch.setattr(tables, "BLOCK_SIZE", 100)
     seen = []
@@ -453,7 +445,7 @@ def kernel_groups(plan, k, lo, hi):
     low = (1 << plan.key_bits) - 1
     out = Counter()
     for group, s in tables._accumulate_range(plan, lo, hi).items():
-        out[plan.unpack(group & low, k), group >> plan.key_bits] += s
+        out[plan.unpack(group & low), group >> plan.key_bits] += s
     return {g: s for g, s in out.items() if s}
 
 
