@@ -291,18 +291,13 @@ class MomentPolynomial:
         for exp, coef in self._ordered():
             yield exp, Fraction(coef)
 
-    def _dense_order(self, min_order: int) -> int:
-        # Highest slot of the dense vectors: ``min_order`` or the highest
-        # nonzero slot, whichever is larger.
-        return max(min_order, _top_slot(self._terms))
-
     def _ordered(
         self, min_order: int = DENSE_ORDER
     ) -> list[tuple[ExpVector, Rational]]:
         # `terms` with the stored int or Fraction coefficients, in vectors
         # that run to slot ``min_order`` at least.
-        width = self._dense_order(min_order) + 1
         terms = self._terms
+        width = max(min_order, _top_slot(terms)) + 1
         return [
             (_unpack(key, width), terms[key])
             for key in sorted(terms, key=_sort_key, reverse=True)
@@ -494,7 +489,7 @@ class MomentPolynomial:
 
     def to_json_dict(self, min_order: int = DENSE_ORDER) -> dict:
         """JSON form; its vectors run to slot ``max_order``, at least ``min_order``."""
-        max_order = self._dense_order(min_order)
+        max_order = max(min_order, _top_slot(self._terms))
         return {
             "basis": self._basis.value,
             "max_order": max_order,
