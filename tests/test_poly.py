@@ -42,15 +42,20 @@ def test_zero_coefficients_are_dropped():
     assert list(p.terms()) == []
 
 
+def test_zero_equals_zero_at_different_capacity():
+    # A zero coefficient vanishes whatever the width of its exponent vector.
+    zero = MomentPolynomial.zero(Basis.RAW)
+    assert MomentPolynomial(Basis.RAW, {(0,) * 3: 0}) == zero
+    assert MomentPolynomial(Basis.RAW, {(0,) * 11: 0}) == zero
+    assert hash(MomentPolynomial(Basis.RAW, {(0,) * 11: 0})) == hash(zero)
+
+
 def test_equality_ignores_trailing_capacity():
     # Trailing empty slots of an exponent vector add nothing to the key.
     a = MomentPolynomial(Basis.RAW, {(0, 0, 1): 3})
     b = MomentPolynomial(Basis.RAW, {(0, 0, 1) + (0,) * 8: 3})
     assert a == b == 3 * m(2)
     assert hash(a) == hash(b)
-    zero = MomentPolynomial.zero(Basis.RAW)
-    assert MomentPolynomial(Basis.RAW, {(0,) * 3: 0}) == zero
-    assert MomentPolynomial(Basis.RAW, {(0,) * 11: 0}) == zero
 
 
 def test_dense_vectors_widen_past_order_eight():
