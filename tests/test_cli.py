@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -223,6 +224,65 @@ def test_series_order_cap(capsys):
     code, _, err = run(capsys, "series", "--k", "2", "--order", "1000")
     assert code == 64
     assert "order" in err
+
+
+def _series_cases():
+    for k in ("2", "4", "6"):
+        acknowledge = ["--central-only"] if k == "6" else []
+        for fmt in ("text", "json"):
+            yield f"k{k}-{fmt}", [
+                ["series", "--k", k, *acknowledge, "--order", str(order), "--format", fmt]
+                for order in range(17)
+            ]
+    for which in ("f2", "f4", "f6", "n6", "mark0", "mark2", "mark4-single",
+                  "mark4-split", "mark4"):
+        for fmt in ("text", "json"):
+            yield f"{which}-{fmt}", [
+                ["series", "--which", which, "--central-only", "--format", fmt]
+            ]
+    yield "k6-order20", [["series", "--k", "6", "--central-only", "--order", "20"]]
+
+
+# sha256 of the concatenated stdout of each group of commands: k=2, 4, 6 at
+# orders 0..16, every --which at the default order, and k=6 at order 20.
+SERIES_OUTPUT_SHA256 = {
+    "k2-text": "fdbfbad3c28346f0a9fc8fa7ac9f6199dc110a8c60a0a128a3070205c8b6a2f7",
+    "k2-json": "dfefdf01f02d53b9cc0652373878f54d85bf45f1f6492f7020ec591f9fc00197",
+    "k4-text": "eb6cf97fdebe96458fb598daea6a88c66688cb16d8722fdcff7b5b18caf38a15",
+    "k4-json": "c9dee0410f2f8270f70b4f64b3bd9031011b9044fb1c4ae1ead67a2d29c7040d",
+    "k6-text": "9e1f39d2a65e6d4c8b35b8a71b4bdfe3693f3cd0b1e7f4e56792d05de38c47af",
+    "k6-json": "ab577da3eac868154e9e8c9596399eaf2c01bec45296a1b4b6f2aab7c96655e9",
+    "f2-text": "ccb3649d0e07c946822a6bf233272c7f1e000a33db5223b2cd303eb0a6acdf50",
+    "f2-json": "050f2701cbc677cc6ad58a9cc041ed856623df3c62a652f64f2b3bb6ed751567",
+    "f4-text": "b6faa49e3ef8258462760575c24dce0df1a05fe5aec85affce3634a86dc722ed",
+    "f4-json": "c838c86447497e0f67837dd9db48b48ffc9c5aba0a6d5287e41adfe050f9227a",
+    "f6-text": "d30ef017cd10830aa9a1d397fc6100bc71d4235803c0a03da48765947d946c60",
+    "f6-json": "d1756b8991df67298f9958cc50b5e9219beb66abdc957b9d1d5d1f0da32c310b",
+    "n6-text": "23b4fd70c984af697e977f5c4cd01310706f38684498e7c36255115f577d6c51",
+    "n6-json": "50251bcf0a24532b9caabd7772dd4fd7bfef8654bc63427adade9de484b3434c",
+    "mark0-text": "07b8be1a47cf5b768740ce73b37c1cbcb6e413844107d1139e09d796477252e6",
+    "mark0-json": "bb8f5bb03a6aac135d71b631f5b08f1a01ed80e72d26f7a0bec884347a5d709f",
+    "mark2-text": "e2af26e28d2805693478073599a57411bec3a511fa4097e635c2246ed954e7a1",
+    "mark2-json": "01b8a881ef8aa94231fc58ce3babea8c483d6a330ef3e8f2501ba8883b6059d9",
+    "mark4-single-text": "998a7291f4e55d1095cf2866280d25a6527aeb0884ace0185f904840de744658",
+    "mark4-single-json": "5c1c6cbadaa3e5bfbfc3d585eb3cb67dd738fb345ca7b6ab0db319e388259708",
+    "mark4-split-text": "5a185d42dabe10d4552df72c8d48a3c8a525bbfdc25cb5aba8056d721e6e61ba",
+    "mark4-split-json": "32ea46754c28506c21a263cae7148960c50e34d2ebe18a11e27c3dcb618ec911",
+    "mark4-text": "2ba44196c5a91430f18bab85a5b52a6f8095339be28815edc6cc34790e76913b",
+    "mark4-json": "30e23ebff90d40b95f5712dd89513d18394ba4e185a7f1432a129f85abe0fd3c",
+    "k6-order20": "c9e508dc711778378e910d86ef8e94f63aff694d88d5cfb19eb9b520d5bd9b0a",
+}
+
+
+@pytest.mark.parametrize("name, commands", list(_series_cases()),
+                         ids=[name for name, _ in _series_cases()])
+def test_series_output_is_pinned(capsys, name, commands):
+    digest = hashlib.sha256()
+    for argv in commands:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        digest.update(out.encode())
+    assert digest.hexdigest() == SERIES_OUTPUT_SHA256[name]
 
 
 # -- oracle ----------------------------------------------------------------
