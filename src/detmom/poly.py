@@ -49,6 +49,7 @@ checks nothing again.
 from __future__ import annotations
 
 import numbers
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -203,6 +204,55 @@ def _mul_terms(a: Terms, b: Terms) -> Terms:
             k = k1 + k2
             out[k] = get(k, 0) + c1 * c2
     return out
+
+
+def _divide(c: Rational, divisor: int) -> Rational:
+    """``c / divisor`` exactly, as an int when the quotient is integral."""
+    if type(c) is int:
+        q, r = divmod(c, divisor)
+        return q if not r else Fraction(c, divisor)
+    return _exact(c / divisor)
+
+
+def sum_of_products(
+    basis: Basis,
+    triples: Iterable[tuple[int, "MomentPolynomial", "MomentPolynomial"]],
+    divisor: int = 1,
+) -> "MomentPolynomial":
+    """``sum(w * a * b for w, a, b in triples) / divisor``, for int weights ``w``.
+
+    Every product is added into one term map, cleaned once at the end, where
+    ``acc = acc + w * a * b`` would build a polynomial per product and copy
+    the accumulator once per term.  Raises `BasisMismatchError` for an
+    operand of another basis and `OrderCapacityError` before any product
+    that could reach the packing limit.
+    """
+    out: defaultdict[int, Rational] = defaultdict(int)
+    top = 0
+    for w, a, b in triples:
+        if a._basis is not basis or b._basis is not basis:
+            raise BasisMismatchError(
+                f"cannot combine {a._basis.value} and {b._basis.value} polynomials "
+                f"into a {basis.value} sum"
+            )
+        small, big = a._terms, b._terms
+        if not small or not big:
+            continue
+        weight = a._top + b._top
+        _check_limit(weight)
+        top = max(top, weight)
+        if len(small) > len(big):
+            small, big = big, small
+        big_items = list(big.items())
+        for k1, c1 in small.items():
+            c1 *= w
+            for k2, c2 in big_items:
+                out[k1 + k2] += c1 * c2
+    if divisor == 1:
+        terms = _clean(out)
+    else:
+        terms = {k: _divide(c, divisor) for k, c in out.items() if c}
+    return MomentPolynomial._make(basis, terms, top)
 
 
 class MomentPolynomial:

@@ -17,18 +17,38 @@ series are combined:
 The classic species constructions are available on zero-constant-term series
 ``a``: ``a.exp()`` builds SET(a), ``a.geometric()`` builds SEQ(a) = 1/(1-a),
 and ``a.log_geometric()`` builds CYC(a) = ln(1/(1-a)).
+
+Storage.  A series keeps the scaled coefficients s_n = n! * a_n, not a_n.  A
+product of exponential generating functions is a binomial convolution of the
+scaled sequences, so the series that the formulas factor (and every series
+with integral scaled coefficients) stay in Python ints where a_n would be
+`Fraction`s (Flajolet & Sedgewick, *Analytic Combinatorics*, ch. II).  The
+plain coefficients `TruncatedEGF.coeffs` are derived, once, when asked for.
+With A the scaled input and every sum over j = 1..d:
+
+* product        (ab)_d = sum_{i=0..d} C(d, i) a_i b_{d-i};
+* exp            E_0 = 1,  E_d = sum_j C(d-1, j-1) A_j E_{d-j}, from E' = A'E;
+* geometric      G_0 = 1,  G_d = sum_j C(d, j) A_j G_{d-j}, from G = 1 + AG;
+* log_geometric  L_0 = 0,  L_d = sum_j C(d-1, j-1) A_j G_{d-j}, from L' = A'G;
+* compose        f(inner) = sum_d S_d P_d with P_0 = 1 and
+                 P_d = inner^d / d! = P_{d-1} * inner / d.  The division is
+                 exact: for an inner series with zero constant term and
+                 integral scaled coefficients, inner^d / d! (a set of d
+                 structures) has integral scaled coefficients too.
+
+Each output coefficient is one call of `detmom.poly.sum_of_products`, which
+adds every weighted product into a single term map.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import factorial
-from typing import Sequence, Union
+from math import comb, factorial
+from typing import Iterable, Sequence, Union
 
 from .errors import ConventionMismatchError
-from .poly import Basis, MomentPolynomial
+from .poly import Basis, MomentPolynomial, sum_of_products
 
 DEFAULT_TRUNCATION = 16
 
@@ -39,32 +59,65 @@ class Convention(Enum):
 
 
 Coefflike = Union[MomentPolynomial, int, Fraction]
+Scaled = tuple[MomentPolynomial, ...]
 
 
-@dataclass(frozen=True)
 class TruncatedEGF:
-    """Truncated formal power series in t; immutable."""
+    """Truncated formal power series in t; immutable.
 
-    coeffs: tuple[MomentPolynomial, ...]
-    convention: Convention
+    ``TruncatedEGF(coeffs, convention)`` takes the plain coefficients a_n of
+    t^0 .. t^order; the series stores n! * a_n (see the module docstring).
+    """
 
-    def __post_init__(self) -> None:
-        if not self.coeffs:
+    __slots__ = ("_s", "_convention", "_coeffs")
+
+    def __init__(self, coeffs: Sequence[MomentPolynomial], convention: Convention):
+        coeffs = tuple(coeffs)
+        if not coeffs:
             raise ValueError("a series needs at least the t^0 coefficient")
-        basis = self.coeffs[0].basis
-        for c in self.coeffs:
+        basis = coeffs[0].basis
+        for c in coeffs:
             if c.basis is not basis:
                 raise ValueError("series coefficients must share a basis")
+        self._s = tuple(factorial(n) * c for n, c in enumerate(coeffs))
+        self._convention = convention
+        self._coeffs = coeffs
+
+    @classmethod
+    def _scaled(cls, s: Scaled, convention: Convention) -> "TruncatedEGF":
+        """Trusted constructor from scaled coefficients of one basis."""
+        series = object.__new__(cls)
+        series._s = s
+        series._convention = convention
+        series._coeffs = None
+        return series
+
+    def _like(self, s: Iterable[MomentPolynomial]) -> "TruncatedEGF":
+        return TruncatedEGF._scaled(tuple(s), self._convention)
 
     # -- state -------------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[MomentPolynomial, ...]:
+        """The plain coefficients a_n = s_n / n!, derived on first use."""
+        if self._coeffs is None:
+            self._coeffs = tuple(
+                s if n < 2 else s * Fraction(1, factorial(n))
+                for n, s in enumerate(self._s)
+            )
+        return self._coeffs
+
+    @property
+    def convention(self) -> Convention:
+        return self._convention
+
+    @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._s) - 1
 
     @property
     def basis(self) -> Basis:
-        return self.coeffs[0].basis
+        return self._s[0].basis
 
     def coefficient(self, n: int) -> MomentPolynomial:
         if not 0 <= n <= self.order:
@@ -74,11 +127,22 @@ class TruncatedEGF:
     def truncate(self, order: int) -> "TruncatedEGF":
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
-        return TruncatedEGF(self.coeffs[: order + 1], self.convention)
+        return self._like(self._s[: order + 1])
 
     def with_convention(self, convention: Convention) -> "TruncatedEGF":
         """Retag the series; the caller asserts the reinterpretation is sound."""
-        return TruncatedEGF(self.coeffs, convention)
+        return TruncatedEGF._scaled(self._s, convention)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TruncatedEGF):
+            return NotImplemented
+        return self._convention is other._convention and self._s == other._s
+
+    def __hash__(self) -> int:
+        return hash((self._s, self._convention))
+
+    def __repr__(self) -> str:
+        return f"TruncatedEGF({list(self.coeffs)!r}, {self._convention})"
 
     def _zero_poly(self) -> MomentPolynomial:
         return MomentPolynomial.zero(self.basis)
@@ -87,9 +151,9 @@ class TruncatedEGF:
         return MomentPolynomial.constant(1, self.basis)
 
     def _check(self, other: "TruncatedEGF") -> None:
-        if other.convention is not self.convention:
+        if other._convention is not self._convention:
             raise ConventionMismatchError(
-                f"cannot combine {self.convention.value} and {other.convention.value} series"
+                f"cannot combine {self._convention.value} and {other._convention.value} series"
             )
 
     # -- ring operations ---------------------------------------------------
@@ -98,40 +162,21 @@ class TruncatedEGF:
         if not isinstance(other, TruncatedEGF):
             return NotImplemented
         self._check(other)
-        n = min(self.order, other.order)
-        return TruncatedEGF(
-            tuple(a + b for a, b in zip(self.coeffs[: n + 1], other.coeffs[: n + 1])),
-            self.convention,
-        )
+        return self._like(a + b for a, b in zip(self._s, other._s))
 
     def __sub__(self, other: "TruncatedEGF") -> "TruncatedEGF":
         if not isinstance(other, TruncatedEGF):
             return NotImplemented
         self._check(other)
-        n = min(self.order, other.order)
-        return TruncatedEGF(
-            tuple(a - b for a, b in zip(self.coeffs[: n + 1], other.coeffs[: n + 1])),
-            self.convention,
-        )
+        return self._like(a - b for a, b in zip(self._s, other._s))
 
     def __mul__(self, other: object) -> "TruncatedEGF":
         if isinstance(other, TruncatedEGF):
             self._check(other)
             n = min(self.order, other.order)
-            out = []
-            for d in range(n + 1):
-                acc = self._zero_poly()
-                for i in range(d + 1):
-                    a = self.coeffs[i]
-                    b = other.coeffs[d - i]
-                    if a and b:
-                        acc = acc + a * b
-                out.append(acc)
-            return TruncatedEGF(tuple(out), self.convention)
+            return self._like(_convolve(self._s, other._s, n, self.basis))
         if isinstance(other, (int, Fraction, MomentPolynomial)):
-            return TruncatedEGF(
-                tuple(c * other for c in self.coeffs), self.convention
-            )
+            return self._like(c * other for c in self._s)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -140,9 +185,7 @@ class TruncatedEGF:
         """Integer power by repeated squaring; works for any constant term."""
         if exponent < 0:
             raise ValueError("series powers need a nonnegative exponent")
-        result = TruncatedEGF(
-            (self._one_poly(),) + (self._zero_poly(),) * self.order, self.convention
-        )
+        result = self._like((self._one_poly(),) + (self._zero_poly(),) * self.order)
         base = self
         e = exponent
         while e:
@@ -155,69 +198,67 @@ class TruncatedEGF:
     # -- species constructions (zero constant term required) ---------------
 
     def _require_zero_constant(self, op: str) -> None:
-        if not self.coeffs[0].is_zero:
+        if not self._s[0].is_zero:
             raise ValueError(f"{op} requires a series with zero constant term")
+
+    def _recurrence(self, first: MomentPolynomial, shift: int, prior: Scaled | None) -> list:
+        """out_d = sum_j C(d - shift, j - shift) A_j R_{d-j}, R = ``prior`` or out."""
+        a = self._s
+        basis = self.basis
+        out = [first]
+        r = out if prior is None else prior
+        for d in range(1, len(a)):
+            out.append(
+                sum_of_products(
+                    basis,
+                    ((comb(d - shift, j - shift), a[j], r[d - j])
+                     for j in range(1, d + 1) if a[j]),
+                )
+            )
+        return out
 
     def exp(self) -> "TruncatedEGF":
         """SET construction: formal exp via the derivative recurrence."""
         self._require_zero_constant("exp")
-        n = self.order
-        out = [self._one_poly()]
-        for d in range(1, n + 1):
-            acc = self._zero_poly()
-            for j in range(1, d + 1):
-                if self.coeffs[j]:
-                    acc = acc + j * self.coeffs[j] * out[d - j]
-            out.append(Fraction(1, d) * acc)
-        return TruncatedEGF(tuple(out), self.convention)
+        return self._like(self._recurrence(self._one_poly(), 1, None))
 
     def geometric(self) -> "TruncatedEGF":
         """SEQ construction: 1/(1 - a) via the convolution recurrence."""
         self._require_zero_constant("geometric")
-        n = self.order
-        out = [self._one_poly()]
-        for d in range(1, n + 1):
-            acc = self._zero_poly()
-            for j in range(1, d + 1):
-                if self.coeffs[j]:
-                    acc = acc + self.coeffs[j] * out[d - j]
-            out.append(acc)
-        return TruncatedEGF(tuple(out), self.convention)
+        return self._like(self._recurrence(self._one_poly(), 0, None))
 
     def log_geometric(self) -> "TruncatedEGF":
         """CYC construction: ln(1/(1 - a)), the formal log of `geometric`."""
         self._require_zero_constant("log_geometric")
-        geo = self.geometric()
-        n = self.order
-        out = [self._zero_poly()]
-        for d in range(1, n + 1):
-            acc = self._zero_poly()
-            for j in range(1, d + 1):
-                if self.coeffs[j]:
-                    acc = acc + j * self.coeffs[j] * geo.coeffs[d - j]
-            out.append(Fraction(1, d) * acc)
-        return TruncatedEGF(tuple(out), self.convention)
+        return self._like(self._recurrence(self._zero_poly(), 1, self.geometric()._s))
 
     def compose(self, inner: "TruncatedEGF") -> "TruncatedEGF":
-        """Substitute ``inner`` (zero constant term) for t, by Horner's rule."""
+        """Substitute ``inner`` (zero constant term) for t: sum_d S_d inner^d / d!."""
         self._check(inner)
         inner._require_zero_constant("composition")
         n = min(self.order, inner.order)
-        inner = inner.truncate(n)
-        result = constant_series(self.coeffs[n], n, self.convention)
-        for d in range(n - 1, -1, -1):
-            result = result * inner + constant_series(self.coeffs[d], n, self.convention)
-        return result
+        basis = self.basis
+        x = inner._s[: n + 1]
+        powers = [(self._one_poly(),) + (self._zero_poly(),) * n]  # P_0 = 1
+        for d in range(1, n + 1):
+            powers.append(_convolve(powers[-1], x, n, basis, divisor=d))
+        s = self._s
+        return self._like(
+            sum_of_products(basis, ((1, s[d], powers[d][m]) for d in range(m + 1)))
+            for m in range(n + 1)
+        )
 
     # -- extraction --------------------------------------------------------
 
     def det_moment(self, n: int) -> MomentPolynomial:
-        """Recover f_k(n) = n!^2 * [t^n]; only meaningful under F_CONVENTION."""
-        if self.convention is not Convention.F_CONVENTION:
+        """Recover f_k(n) = n!^2 * [t^n] = n! * s_n; only under F_CONVENTION."""
+        if self._convention is not Convention.F_CONVENTION:
             raise ConventionMismatchError(
                 "det_moment needs the f-convention (coefficients f_k(n)/n!^2)"
             )
-        return factorial(n) ** 2 * self.coefficient(n)
+        if not 0 <= n <= self.order:
+            raise ValueError(f"coefficient {n} outside truncation order {self.order}")
+        return factorial(n) * self._s[n]
 
     # -- presentation ------------------------------------------------------
 
@@ -229,10 +270,24 @@ class TruncatedEGF:
 
     def to_json_dict(self) -> dict:
         return {
-            "convention": self.convention.value,
+            "convention": self._convention.value,
             "order": self.order,
             "coeffs": [[n, c.to_json_dict()] for n, c in self.to_pairs()],
         }
+
+
+def _convolve(
+    a: Scaled, b: Scaled, n: int, basis: Basis, divisor: int = 1
+) -> list[MomentPolynomial]:
+    """Scaled coefficients 0..n of the product of two series, each over ``divisor``."""
+    return [
+        sum_of_products(
+            basis,
+            ((comb(d, i), a[i], b[d - i]) for i in range(d + 1) if a[i] and b[d - i]),
+            divisor,
+        )
+        for d in range(n + 1)
+    ]
 
 
 # -- constructors ----------------------------------------------------------

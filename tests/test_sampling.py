@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import itertools
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -452,12 +453,36 @@ def test_first_power_target_is_determinant_of_the_mean_matrix():
 # -- Monte-Carlo -----------------------------------------------------------
 
 
-def test_mc_is_reproducible_and_worker_independent():
-    a = mc_estimate(RADEMACHER, 2, 2, samples=3000, seed=11)
-    b = mc_estimate(RADEMACHER, 2, 2, samples=3000, seed=11)
-    c = mc_estimate(RADEMACHER, 2, 2, samples=3000, seed=11, workers=3)
-    assert a.estimate == b.estimate == c.estimate
-    assert a.std_error == c.std_error
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """The max_workers of every process pool `mc_estimate` starts."""
+    starts = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            starts.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(sampling, "ProcessPoolExecutor", RecordingPool)
+    return starts
+
+
+def bits(report):
+    return report.estimate.hex(), report.std_error.hex()
+
+
+# More than one block, so a pool has blocks to split.
+POOLED_SAMPLES = 2 * sampling.BLOCK_SIZE + 500
+
+
+def test_mc_is_reproducible_and_worker_independent(monkeypatch, pool_starts):
+    monkeypatch.setattr(sampling, "_PARALLEL_THRESHOLD", 0)
+    a = mc_estimate(RADEMACHER, 2, 2, samples=POOLED_SAMPLES, seed=11)
+    b = mc_estimate(RADEMACHER, 2, 2, samples=POOLED_SAMPLES, seed=11)
+    assert pool_starts == []
+    c = mc_estimate(RADEMACHER, 2, 2, samples=POOLED_SAMPLES, seed=11, workers=3)
+    assert pool_starts == [3]
+    assert bits(a) == bits(b) == bits(c)
 
 
 def test_mc_seed_changes_the_draw():
@@ -466,10 +491,21 @@ def test_mc_seed_changes_the_draw():
     assert a.estimate != b.estimate
 
 
-def test_mc_normal_is_reproducible_and_worker_independent():
-    a = mc_estimate(NORMAL, 2, 2, samples=3000, seed=4)
-    b = mc_estimate(NORMAL, 2, 2, samples=3000, seed=4, workers=2)
-    assert a.estimate == b.estimate
+def test_mc_normal_is_reproducible_and_worker_independent(monkeypatch, pool_starts):
+    monkeypatch.setattr(sampling, "_PARALLEL_THRESHOLD", 0)
+    a = mc_estimate(NORMAL, 2, 2, samples=POOLED_SAMPLES, seed=4)
+    b = mc_estimate(NORMAL, 2, 2, samples=POOLED_SAMPLES, seed=4, workers=2)
+    assert pool_starts == [2]
+    assert bits(a) == bits(b)
+
+
+def test_mc_pools_only_past_the_break_even(pool_starts):
+    # 100,000 samples at n = 3 (2.7M units of samples * n^3) run faster
+    # serially; 3 blocks at n = 8 (6.3M) reach the break-even.
+    mc_estimate(RADEMACHER, 2, 3, samples=100_000, seed=0, workers=2)
+    assert pool_starts == []
+    mc_estimate(RADEMACHER, 2, 8, samples=3 * sampling.BLOCK_SIZE, seed=0, workers=2)
+    assert pool_starts == [2]
 
 
 def test_mc_lands_near_known_targets():
@@ -508,9 +544,10 @@ def test_report_json_shape():
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_seeded_discrete_estimates_are_pinned(workers):
+def test_seeded_discrete_estimates_are_pinned(monkeypatch, pool_starts, workers):
     # Recorded before the determinant kernel was vectorised: the draw and
-    # the exact sums must not change.
+    # the exact sums must not change, serially or pooled.
+    monkeypatch.setattr(sampling, "_PARALLEL_THRESHOLD", 0)
     lopsided = DistributionSpec.discrete(
         [Fraction(-1), Fraction(0), Fraction(1, 2)],
         [Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)],
@@ -522,6 +559,7 @@ def test_seeded_discrete_estimates_are_pinned(workers):
     ):
         report = mc_estimate(dist, k, n, samples=samples, seed=seed, workers=workers)
         assert (report.estimate, report.std_error) == (estimate, std_error)
+    assert pool_starts == ([workers] * 3 if workers > 1 else [])
 
 
 def test_normal_overflow_is_an_error_before_the_target(monkeypatch):

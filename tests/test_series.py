@@ -252,3 +252,160 @@ def test_json_round_trip_of_series():
     assert data["order"] == 2
     rebuilt = [MomentPolynomial.from_json_dict(c) for _, c in data["coeffs"]]
     assert rebuilt == list(s.coeffs)
+
+
+# -- scaled storage against the plain-coefficient loops ---------------------
+#
+# `TruncatedEGF` stores n! * a_n and runs binomial convolutions on Python
+# ints.  These are the loops it replaced, on the plain coefficients a_n with
+# `Fraction` scalars, kept as the reference.
+
+
+def ref_mul(a, b):
+    n = min(len(a), len(b)) - 1
+    out = []
+    for d in range(n + 1):
+        acc = MomentPolynomial.zero(a[0].basis)
+        for i in range(d + 1):
+            if a[i] and b[d - i]:
+                acc = acc + a[i] * b[d - i]
+        out.append(acc)
+    return tuple(out)
+
+
+def ref_exp(a):
+    out = [MomentPolynomial.constant(1, a[0].basis)]
+    for d in range(1, len(a)):
+        acc = MomentPolynomial.zero(a[0].basis)
+        for j in range(1, d + 1):
+            if a[j]:
+                acc = acc + j * a[j] * out[d - j]
+        out.append(Fraction(1, d) * acc)
+    return tuple(out)
+
+
+def ref_geometric(a):
+    out = [MomentPolynomial.constant(1, a[0].basis)]
+    for d in range(1, len(a)):
+        acc = MomentPolynomial.zero(a[0].basis)
+        for j in range(1, d + 1):
+            if a[j]:
+                acc = acc + a[j] * out[d - j]
+        out.append(acc)
+    return tuple(out)
+
+
+def ref_log_geometric(a):
+    geo = ref_geometric(a)
+    out = [MomentPolynomial.zero(a[0].basis)]
+    for d in range(1, len(a)):
+        acc = MomentPolynomial.zero(a[0].basis)
+        for j in range(1, d + 1):
+            if a[j]:
+                acc = acc + j * a[j] * geo[d - j]
+        out.append(Fraction(1, d) * acc)
+    return tuple(out)
+
+
+def ref_compose(outer, inner):
+    # Horner's rule: (..(S_n * inner + S_{n-1}) * inner + ..) + S_0.
+    n = min(len(outer), len(inner)) - 1
+    inner = inner[: n + 1]
+    zero = MomentPolynomial.zero(outer[0].basis)
+    result = (outer[n],) + (zero,) * n
+    for d in range(n - 1, -1, -1):
+        result = ref_mul(result, inner)
+        result = (result[0] + outer[d],) + result[1:]
+    return result
+
+
+scalars = st.one_of(
+    st.integers(min_value=-4, max_value=4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+)
+
+
+@st.composite
+def polys(draw, max_terms=3):
+    """A raw-basis polynomial in m1, m2, m3 with int or Fraction coefficients."""
+    total = MomentPolynomial.zero(Basis.RAW)
+    for _ in range(draw(st.integers(min_value=0, max_value=max_terms))):
+        powers = draw(st.dictionaries(
+            st.sampled_from([1, 2, 3]), st.integers(min_value=1, max_value=2), max_size=2
+        ))
+        total = total + MomentPolynomial.monomial(draw(scalars), powers, Basis.RAW)
+    return total
+
+
+@st.composite
+def series(draw, order=None, zero_constant=False, convention=None, max_terms=3):
+    order = draw(st.integers(min_value=0, max_value=10)) if order is None else order
+    convention = draw(st.sampled_from(Convention)) if convention is None else convention
+    coeffs = [draw(polys(max_terms)) for _ in range(order + 1)]
+    if zero_constant:
+        coeffs[0] = MomentPolynomial.zero(Basis.RAW)
+    return TruncatedEGF(tuple(coeffs), convention)
+
+
+@st.composite
+def series_pairs(draw, **kwargs):
+    a = draw(series(**kwargs))
+    b = draw(series(convention=a.convention, **kwargs))
+    return a, b
+
+
+@settings(max_examples=50, deadline=None)
+@given(series_pairs())
+def test_scaled_product_matches_the_reference(pair):
+    a, b = pair
+    assert (a * b).coeffs == ref_mul(a.coeffs, b.coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(series(zero_constant=True))
+def test_scaled_species_constructions_match_the_reference(s):
+    assert s.exp().coeffs == ref_exp(s.coeffs)
+    assert s.geometric().coeffs == ref_geometric(s.coeffs)
+    assert s.log_geometric().coeffs == ref_log_geometric(s.coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(series(max_terms=2), series(zero_constant=True, max_terms=2))
+def test_scaled_compose_matches_horner(outer, inner):
+    inner = inner.with_convention(outer.convention)
+    assert outer.compose(inner).coeffs == ref_compose(outer.coeffs, inner.coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(series(), scalars, st.integers(min_value=0, max_value=10))
+def test_scaled_scalar_truncate_and_retag(s, c, order):
+    assert (s * c).coeffs == tuple(p * c for p in s.coeffs)
+    assert (c * s) == s * c
+    if order <= s.order:
+        assert s.truncate(order).coeffs == s.coeffs[: order + 1]
+    other = next(conv for conv in Convention if conv is not s.convention)
+    retagged = s.with_convention(other)
+    assert retagged.convention is other and retagged.coeffs == s.coeffs
+    assert retagged != s
+
+
+@settings(max_examples=40, deadline=None)
+@given(series())
+def test_plain_coefficients_round_trip(s):
+    coeffs = s.coeffs
+    again = TruncatedEGF(coeffs, s.convention)
+    assert again.coeffs == coeffs
+    assert again == s and hash(again) == hash(s)
+    assert [s.coefficient(n) for n in range(s.order + 1)] == list(coeffs)
+    assert (s.order, s.basis) == (len(coeffs) - 1, Basis.RAW)
+    f = s.with_convention(Convention.F_CONVENTION)
+    for n in range(s.order + 1):
+        assert f.det_moment(n) == factorial(n) ** 2 * s.coefficient(n)
+
+
+def test_series_differing_in_one_coefficient_are_unequal():
+    a = rational_series([1, Fraction(1, 2), 3])
+    b = rational_series([1, Fraction(1, 3), 3])
+    assert a != b
+    assert a != a.truncate(1)
+    assert a == rational_series([1, Fraction(1, 2), 3])
