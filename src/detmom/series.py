@@ -31,9 +31,9 @@ With A the scaled input and every sum over j = 1..d:
 * geometric      G_0 = 1,  G_d = sum_j C(d, j) A_j G_{d-j}, from G = 1 + AG;
 * log_geometric  L_0 = 0,  L_d = sum_j C(d-1, j-1) A_j G_{d-j}, from L' = A'G;
 * compose        f(inner) = sum_d S_d P_d with P_0 = 1 and
-                 P_d = inner^d / d! = P_{d-1} * inner / d.  The division is
-                 exact: for an inner series with zero constant term and
-                 integral scaled coefficients, inner^d / d! (a set of d
+                 P_d = inner^d / d! = P_{d-1} * inner / d.  The division
+                 keeps ints: for an inner series with zero constant term
+                 and integral scaled coefficients, inner^d / d! (a set of d
                  structures) has integral scaled coefficients too.
 
 Each output coefficient is one call of `detmom.poly.sum_of_products`, which
