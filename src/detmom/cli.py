@@ -47,7 +47,7 @@ from .sampling import (
     mc_estimate,
 )
 from .series import TruncatedEGF
-from .tables import Reduction, TableMode, oracle_moment
+from .tables import TableMode, oracle_moment
 from .verify import MC_SAMPLES, MC_SEED, SUITES, run_suite
 
 MAX_SERIES_ORDER = 64
@@ -79,6 +79,20 @@ def _check_kn(k: int, n: Optional[int] = None, order: Optional[int] = None) -> N
         raise UsageError("n must be nonnegative")
     if order is not None and not 0 <= order <= MAX_SERIES_ORDER:
         raise UsageError(f"order must be between 0 and {MAX_SERIES_ORDER}")
+
+
+def _worker_count(text: str) -> int:
+    """A ``--workers`` value: from 1 to the number of CPUs."""
+    most = os.cpu_count() or 1
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if not 1 <= count <= most:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer from 1 to {most}, got {text!r}"
+        )
+    return count
 
 
 def _print_poly(p: MomentPolynomial, fmt: str, min_order: int = DENSE_ORDER) -> None:
@@ -199,14 +213,12 @@ def _progress_printer(total_label: str = "tables"):
 def _cmd_oracle(args: argparse.Namespace) -> int:
     _check_kn(args.k, args.n)
     mode = TableMode(args.mode)
-    reduction = None if args.reduce == "auto" else Reduction(args.reduce)
     budget = args.budget if args.budget is not None else _env_budget()
     progress = _progress_printer() if sys.stderr.isatty() else None
     p = oracle_moment(
         args.k,
         args.n,
         mode=mode,
-        reduction=reduction,
         budget=budget,
         workers=args.workers,
         progress=progress,
@@ -287,6 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("text", "json"), default="text")
 
+    def add_workers(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--workers", type=_worker_count, default=os.cpu_count() or 1)
+
     p = sub.add_parser("closed", help="closed-form determinant moments")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
@@ -315,11 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", choices=("plain", "marked"), default="plain")
-    p.add_argument(
-        "--reduce", choices=("auto", *(r.value for r in Reduction)), default="auto"
-    )
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    add_workers(p)
     add_format(p)
     p.set_defaults(fn=_cmd_oracle)
 
@@ -338,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    add_workers(p)
     add_format(p)
     p.set_defaults(fn=_cmd_mc)
 
@@ -354,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=tuple(SUITES), default="all")
     p.add_argument("--seed", type=int, default=MC_SEED)
     p.add_argument("--samples", type=int, default=MC_SAMPLES)
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    add_workers(p)
     add_format(p)
     p.set_defaults(fn=_cmd_verify)
 

@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import numbers
 from collections import defaultdict
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -79,39 +78,6 @@ Terms = dict[int, Rational]
 class Basis(Enum):
     RAW = "raw"
     CENTRAL = "central"
-
-
-class SymbolKind(Enum):
-    RAW = "raw"
-    CENTRAL = "central"
-    MEAN = "mean"
-
-
-@dataclass(frozen=True)
-class MomentSymbol:
-    """A single moment symbol: m_r, mu_r, or the mean m_1."""
-
-    kind: SymbolKind
-    order: int
-
-    def __post_init__(self) -> None:
-        if self.kind is SymbolKind.MEAN and self.order != 1:
-            raise ValueError("the mean symbol has order 1")
-        if self.kind is SymbolKind.CENTRAL and self.order < 2:
-            raise ValueError("central symbols start at order 2 (mu_1 is zero)")
-        if self.kind is SymbolKind.RAW and self.order < 1:
-            raise ValueError("raw symbols start at order 1")
-
-    @property
-    def slot(self) -> int:
-        """Index of this symbol in a dense exponent vector."""
-        return 0 if self.order == 1 else self.order
-
-    @property
-    def basis(self) -> Basis:
-        # The mean is legal in both bases; report it as CENTRAL-compatible
-        # where it matters (the polynomial builders check compatibility).
-        return Basis.RAW if self.kind is SymbolKind.RAW else Basis.CENTRAL
 
 
 # -- packed keys -----------------------------------------------------------
@@ -573,13 +539,15 @@ class MomentPolynomial:
 
 def raw_symbol(r: int) -> MomentPolynomial:
     """The raw moment m_r as a polynomial (r = 1 gives the mean)."""
-    MomentSymbol(SymbolKind.RAW if r != 1 else SymbolKind.MEAN, r)
+    if r < 1:
+        raise ValueError("raw symbols start at order 1")
     return MomentPolynomial.monomial(1, {r: 1}, Basis.RAW)
 
 
 def central_symbol(r: int) -> MomentPolynomial:
     """The central moment mu_r (r >= 2) as a polynomial."""
-    MomentSymbol(SymbolKind.CENTRAL, r)
+    if r < 2:
+        raise ValueError("central symbols start at order 2 (mu_1 is zero)")
     return MomentPolynomial.monomial(1, {r: 1}, Basis.CENTRAL)
 
 

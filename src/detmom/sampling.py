@@ -232,7 +232,9 @@ def exhaustive_moment(
     cells = n * n
     total = s**cells
     if total > budget:
-        raise BudgetExceededError(total, budget, f"exhaustive average for n={n}")
+        raise BudgetExceededError(
+            total, budget, f"exhaustive average for n={n}", unit="matrices"
+        )
 
     scale, support = _integer_support(dist, n)
     uniform = len(set(dist.probs)) == 1
@@ -469,8 +471,11 @@ def _float_overflow(k: int, n: int) -> OverflowError:
 
 
 def _run_blocks(fn, jobs: list, workers: int, work: int) -> list:
-    """``fn`` over ``jobs`` in order; pooled only when the ``work`` pays for it."""
+    """``fn`` over ``jobs`` in order; pooled only when the ``work`` pays for it.
+
+    A pool starts at most one process per job.
+    """
     if workers > 1 and len(jobs) > 1 and work >= _PARALLEL_THRESHOLD:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             return list(pool.map(fn, jobs))
     return [fn(job) for job in jobs]

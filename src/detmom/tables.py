@@ -12,43 +12,41 @@ the remaining values group into central moments mu_c.  A column with an
 unmarked value that appears exactly once contributes mu_1 = 0, killing the
 table, which is what makes the marked sum sparse.
 
-Three reductions shrink the enumeration; every one gives the same sum.
+Two symmetries shrink the enumeration; the sum is the same.
 
-* ``FULL`` enumerates every table: ``(n!)^k`` plain, ``((n+1) n!)^k`` marked.
-* ``FIRST_ROW_IDENTITY`` (even k only).  Relabelling the columns by the
+* The first row is pinned (even k).  Relabelling the columns by the
   inverse of the first row keeps every weight and multiplies every row sign
   by the same sign, which cancels when k is even; so the first row is pinned
   to the identity (plain) or to the n+1 marked identities (marked) and the
   result multiplied by n!.
-* ``CONJUGACY`` (any k).  Conjugating every row by the same tau,
-  ``sigma -> tau sigma tau^-1``, keeps each row's sign.  It moves column i
-  to column tau(i) and relabels the values by tau, so every column keeps its
-  pattern of equal values and the weight is unchanged; a mark moves with its
-  column, ``(sigma, p) -> (tau sigma tau^-1, tau(p))``.  The sets of options
-  for the first row (all rows, or the pinned identities) are invariant under
-  this action, so the sum over the other rows is constant on the orbits of
-  one row, the partition axis, which may run over one representative per
-  orbit weighted by the orbit size (the orbit-counting argument behind
-  Burnside's lemma).  The axis is row 2 when k is even and the first row is
-  pinned as above, and row 1 when k is odd.  A plain orbit is a cycle type
-  lambda of n, of size n!/z_lambda.  A marked orbit is ``(lambda, None)`` of
-  size n!/z_lambda, or ``(lambda, l)`` for a distinct part l with the mark on
-  a point of an l-cycle, of size n!/z_lambda * l * m_l(lambda).
+* One row runs over conjugacy orbits (any k).  Conjugating every row by the
+  same tau, ``sigma -> tau sigma tau^-1``, keeps each row's sign.  It moves
+  column i to column tau(i) and relabels the values by tau, so every column
+  keeps its pattern of equal values and the weight is unchanged; a mark
+  moves with its column, ``(sigma, p) -> (tau sigma tau^-1, tau(p))``.  The
+  sets of options for the first row (all rows, or the pinned identities) are
+  invariant under this action, so the sum over the other rows is constant on
+  the orbits of one row, the partition axis, which runs over one
+  representative per orbit weighted by the orbit size (the orbit-counting
+  argument behind Burnside's lemma).  The axis is row 2 when k is even and
+  the first row is pinned as above, and row 1 when k is odd.  A plain orbit
+  is a cycle type lambda of n, of size n!/z_lambda.  A marked orbit is
+  ``(lambda, None)`` of size n!/z_lambda, or ``(lambda, l)`` for a distinct
+  part l with the mark on a point of an l-cycle, of size
+  n!/z_lambda * l * m_l(lambda).
 
 With p(n) partitions of n and q(n) = sum over lambda of (1 + number of
 distinct parts) = p(0) + ... + p(n) marked orbits, `table_count` is, without
-enumerating anything:
+enumerating anything,
 
-============  ===========================  ================================
-reduction     plain                        marked
-============  ===========================  ================================
-full          (n!)^k                       ((n+1) n!)^k
-first-row     (n!)^(k-1)                   (n+1) ((n+1) n!)^(k-1)
-conjugacy     p(n) (n!)^(k-2), even k      (n+1) q(n) ((n+1) n!)^(k-2)
-              p(n) (n!)^(k-1), odd k       q(n) ((n+1) n!)^(k-1)
-============  ===========================  ================================
+======  ======================  ================================
+k       plain                   marked
+======  ======================  ================================
+even    p(n) (n!)^(k-2)         (n+1) q(n) ((n+1) n!)^(k-2)
+odd     p(n) (n!)^(k-1)         q(n) ((n+1) n!)^(k-1)
+======  ======================  ================================
 
-``oracle_moment`` picks ``CONJUGACY`` unless told otherwise.
+out of (n!)^k plain and ((n+1) n!)^k marked tables in all.
 
 One block-vectorised kernel enumerates the tables, in the serial and the
 pooled path alike.  A table is a flat mixed-radix index over the options of
@@ -99,12 +97,6 @@ _MARK = -1
 class TableMode(Enum):
     PLAIN = "plain"
     MARKED = "marked"
-
-
-class Reduction(Enum):
-    FULL = "full"
-    FIRST_ROW_IDENTITY = "first-row"
-    CONJUGACY = "conjugacy"
 
 
 ProgressFn = Callable[[int, int], None]
@@ -370,59 +362,36 @@ def _orbit_count(n: int, mode: TableMode) -> int:
     return p[n] if mode is TableMode.PLAIN else sum(p)
 
 
-def table_count(k: int, n: int, mode: TableMode, reduction: Reduction) -> int:
+def table_count(k: int, n: int, mode: TableMode) -> int:
     """Number of weight evaluations the enumeration performs.
 
     A closed form (see the module docstring); it enumerates nothing.
     """
     per_row = factorial(n) if mode is TableMode.PLAIN else factorial(n) * (n + 1)
-    pinned = 1 if mode is TableMode.PLAIN else n + 1
-    if reduction is Reduction.FULL:
-        return per_row**k
-    if reduction is Reduction.FIRST_ROW_IDENTITY:
-        return pinned * per_row ** (k - 1)
     orbits = _orbit_count(n, mode)
     if k % 2:
         return orbits * per_row ** (k - 1)
+    pinned = 1 if mode is TableMode.PLAIN else n + 1
     return pinned * orbits * per_row ** (k - 2)
 
 
-def _resolve_reduction(k: int, reduction: Optional[Reduction]) -> Reduction:
-    if reduction is None:
-        return Reduction.CONJUGACY
-    if reduction is Reduction.FIRST_ROW_IDENTITY and k % 2:
-        raise ValueError(
-            "the first-row-identity reduction is only sound for even k "
-            "(row signs must cancel)"
-        )
-    return reduction
-
-
-def _pins_first_row(k: int, reduction: Reduction) -> bool:
-    return reduction is not Reduction.FULL and k % 2 == 0
-
-
 def _axes(
-    k: int, n: int, mode: TableMode, reduction: Reduction
-) -> tuple[list[tuple[np.ndarray, Sequence[int]]], Optional[int]]:
+    k: int, n: int, mode: TableMode
+) -> tuple[list[tuple[np.ndarray, Sequence[int]]], int]:
     """The options of each of the k rows, and the orbit axis.
 
     A row's options are (values, weights): an (options, n) array of values,
-    a mark stored as ``_MARK``, and their row signs.  Under the conjugacy
-    reduction the partition axis, row 2 when the first row is pinned and
-    row 1 otherwise, runs over orbit representatives whose weights are
-    their signed orbit sizes (Python ints); its index is returned, and
-    None under the other reductions.  The n!-long options of every row are
-    built only when some row uses them.
+    a mark stored as ``_MARK``, and their row signs.  The partition axis,
+    row 2 when k is even and the first row is pinned and row 1 when k is
+    odd, runs over orbit representatives whose weights are their signed
+    orbit sizes (Python ints); its index is returned.  The n!-long options
+    of every row are built only when some row uses them.
     """
-    axis = 1 if _pins_first_row(k, reduction) else 0
-    conjugacy = reduction is Reduction.CONJUGACY
-    every_row = _row_options(n, mode) if not conjugacy or k > axis + 1 else None
+    axis = 0 if k % 2 else 1
+    every_row = _row_options(n, mode) if k > axis + 1 else None
     rows = [every_row] * k
     if axis == 1:
         rows[0] = _pinned_options(n, mode)
-    if not conjugacy:
-        return rows, None
     orbits = _orbit_options(n, mode)
     values = np.array([v for v, _ in orbits], dtype=_value_dtype(n))
     rows[axis] = (values.reshape(len(orbits), n), tuple(s for _, s in orbits))
@@ -434,12 +403,12 @@ def _axes(
 
 @dataclass(frozen=True)
 class _Plan:
-    """Everything the block kernel needs for one (k, n, mode, reduction).
+    """Everything the block kernel needs for one (k, n, mode).
 
     A table is a flat mixed-radix index over the k rows' options.
     ``columns[i][j]`` holds column j of every option of row i.  ``signs``
     pairs each row but the orbit axis with its options' signs; the orbit
-    axis options carry Python-int ``weights`` ((1,) without an orbit axis).
+    axis options carry Python-int ``weights``.
     ``key_lut`` maps a column code (`_column_codes`) to its packed exponent
     increment (`_key_layout`), or to -1 when mu_1 = 0 kills the table.
     """
@@ -448,7 +417,7 @@ class _Plan:
     radices: tuple[int, ...]
     columns: tuple[np.ndarray, ...]
     signs: tuple[tuple[int, np.ndarray], ...]
-    orbit_axis: Optional[int]
+    orbit_axis: int
     weights: tuple[int, ...]
     layout: tuple[tuple[int, int], ...]
     key_lut: np.ndarray
@@ -528,9 +497,7 @@ def _column_lookup(
     return key_lut
 
 
-def _check_kernel_limits(
-    k: int, n: int, mode: TableMode, reduction: Reduction, total: int
-) -> None:
+def _check_kernel_limits(k: int, n: int, mode: TableMode, total: int) -> None:
     """Refuse, before building anything, what the block kernel cannot hold.
 
     Its column lookup has 2^k entries, and a table's index, and its packed
@@ -539,14 +506,13 @@ def _check_kernel_limits(
     if k > _MAX_K:
         raise ValueError(f"the table kernel handles k <= {_MAX_K}, got k={k}")
     bits = sum(width for _, width in _key_layout(k, n))
-    if reduction is Reduction.CONJUGACY:
-        bits += (_orbit_count(n, mode) - 1).bit_length()
+    bits += (_orbit_count(n, mode) - 1).bit_length()
     if bits > 63 or total >> 63:
         raise ValueError(f"k={k}, n={n} is too large for the table kernel's 64-bit keys")
 
 
-def _plan(k: int, n: int, mode: TableMode, reduction: Reduction) -> _Plan:
-    rows, orbit_axis = _axes(k, n, mode, reduction)
+def _plan(k: int, n: int, mode: TableMode) -> _Plan:
+    rows, orbit_axis = _axes(k, n, mode)
     layout = _key_layout(k, n)
     columns: dict[int, np.ndarray] = {}
     for values, _ in rows:
@@ -559,7 +525,7 @@ def _plan(k: int, n: int, mode: TableMode, reduction: Reduction) -> _Plan:
         columns=tuple(columns[id(values)] for values, _ in rows),
         signs=tuple((i, s) for i, (_, s) in enumerate(rows) if i != orbit_axis),
         orbit_axis=orbit_axis,
-        weights=(1,) if orbit_axis is None else tuple(rows[orbit_axis][1]),
+        weights=tuple(rows[orbit_axis][1]),
         layout=layout,
         key_lut=_column_lookup(k, marked, layout),
         marked=marked,
@@ -594,7 +560,7 @@ def _accumulate_range(
 
     The result maps ``key | option << plan.key_bits`` to the sum of the
     signs of the rows other than the orbit axis, over the surviving tables
-    with that exponent key and orbit axis option (0 without an orbit axis).
+    with that exponent key and orbit axis option.
     ``progress`` gets (tables visited, ``total``) after every block.
     """
     acc: dict[int, int] = {}
@@ -616,8 +582,7 @@ def _accumulate_range(
         sign = np.ones(len(key), dtype=np.int64)
         for i, row_signs in plan.signs:
             sign *= row_signs[digits[i]]
-        if plan.orbit_axis is not None:
-            key |= digits[plan.orbit_axis] << plan.key_bits
+        key |= digits[plan.orbit_axis] << plan.key_bits
         groups, which = np.unique(key, return_inverse=True)
         sums = np.zeros(len(groups), dtype=np.int64)
         np.add.at(sums, which, sign)
@@ -645,32 +610,29 @@ def oracle_moment(
     k: int,
     n: int,
     mode: TableMode = TableMode.PLAIN,
-    reduction: Optional[Reduction] = None,
     budget: Optional[int] = None,
     workers: int = 1,
     progress: Optional[ProgressFn] = None,
 ) -> MomentPolynomial:
     """E[det(A)^k] by table enumeration; raw basis (plain) or central (marked).
 
-    ``reduction=None`` picks the conjugacy reduction, which is sound for
-    every k.  Raises `BudgetExceededError` before doing any work if the
-    enumeration would exceed ``budget`` weight evaluations.  ``progress``
-    receives (tables visited, `table_count`) after every block, or every
-    chunk of the index range when pooled.  Results are exact and
-    independent of ``workers``.
+    Raises `BudgetExceededError` before doing any work if the enumeration
+    would exceed ``budget`` weight evaluations.  ``progress`` receives
+    (tables visited, `table_count`) after every block, or every chunk of
+    the index range when pooled.  Results are exact and independent of
+    ``workers``; a pool starts at most one process per chunk.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    reduction = _resolve_reduction(k, reduction)
     budget = DEFAULT_BUDGET if budget is None else budget
-    total = table_count(k, n, mode, reduction)
+    total = table_count(k, n, mode)
     if total > budget:
         raise BudgetExceededError(total, budget, f"table enumeration for k={k}, n={n}")
-    _check_kernel_limits(k, n, mode, reduction, total)
+    _check_kernel_limits(k, n, mode, total)
 
-    plan = _plan(k, n, mode, reduction)
+    plan = _plan(k, n, mode)
     count = prod(plan.radices)
 
     if workers > 1 and count >= _PARALLEL_THRESHOLD:
@@ -679,7 +641,7 @@ def oracle_moment(
         jobs = list(zip(bounds, bounds[1:]))
         acc: dict[int, int] = {}
         with ProcessPoolExecutor(
-            max_workers=workers,
+            max_workers=min(workers, len(jobs)),
             initializer=_start_worker,
             initargs=(plan,),
         ) as pool:
@@ -698,7 +660,8 @@ def oracle_moment(
     for group, s in acc.items():
         key = group & low
         sums[key] = sums.get(key, 0) + s * plan.weights[group >> plan.key_bits]
-    scale = factorial(n) if _pins_first_row(k, reduction) else 1
+    # An even k pinned the first row to the identity.
+    scale = 1 if k % 2 else factorial(n)
     basis = Basis.CENTRAL if mode is TableMode.MARKED else Basis.RAW
     return MomentPolynomial(
         basis, {plan.unpack(key): scale * c for key, c in sums.items() if c}

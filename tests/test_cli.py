@@ -305,8 +305,8 @@ def test_oracle_marked_mode_reports_central_symbols(capsys):
 
 def test_oracle_budget_flag_refuses_big_runs(capsys):
     code, _, err = run(
-        capsys, "oracle", "--k", "4", "--n", "4", "--reduce", "full",
-        "--budget", "100", "--workers", "1",
+        capsys, "oracle", "--k", "4", "--n", "4", "--budget", "100",
+        "--workers", "1",
     )
     assert code == 2
     assert "budget" in err
@@ -314,10 +314,8 @@ def test_oracle_budget_flag_refuses_big_runs(capsys):
 
 def test_oracle_budget_env_var(capsys, monkeypatch):
     monkeypatch.setenv("DETMOM_BUDGET", "10")
-    code, _, err = run(
-        capsys, "oracle", "--k", "2", "--n", "5", "--reduce", "first-row",
-        "--workers", "1",
-    )
+    # p(7) = 15 tables.
+    code, _, err = run(capsys, "oracle", "--k", "2", "--n", "7", "--workers", "1")
     assert code == 2
     assert "refused" in err
 
@@ -329,25 +327,27 @@ def test_oracle_budget_env_var_must_be_integer(capsys, monkeypatch):
     assert "DETMOM_BUDGET" in err
 
 
+def test_oracle_has_no_reduce_option(capsys):
+    code, out, err = run(capsys, "oracle", "--k", "2", "--n", "2", "--reduce", "full")
+    assert (code, out) == (64, "")
+    assert "--reduce" in err
+
+
 @pytest.mark.parametrize(
-    "args", [("--k", "3", "--n", "3", "--mode", "marked"), ("--k", "4", "--n", "3")]
+    "argv",
+    [
+        ("oracle", "--k", "2", "--n", "2"),
+        ("mc", "--dist", "rademacher", "--k", "2", "--n", "2", "--samples", "100"),
+        ("verify", "--suite", "series"),
+    ],
 )
-def test_oracle_conjugacy_and_full_print_the_same(capsys, args):
-    outputs = []
-    for reduce in ("conjugacy", "full"):
-        code, out, _ = run(capsys, "oracle", *args, "--reduce", reduce, "--workers", "1")
-        assert code == 0
-        outputs.append(out)
-    assert outputs[0] == outputs[1]
-    assert outputs[0].strip()
-
-
-def test_oracle_odd_power_with_first_row_reduction_is_rejected(capsys):
-    code, _, err = run(
-        capsys, "oracle", "--k", "3", "--n", "2", "--reduce", "first-row",
-        "--workers", "1",
-    )
-    assert code == 64
+def test_workers_outside_one_to_the_cpu_count_are_usage_errors(capsys, monkeypatch, argv):
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    for workers in ("0", "3", "-1", "two"):
+        code, out, err = run(capsys, *argv, "--workers", workers)
+        assert (code, out) == (64, ""), workers
+        assert f"from 1 to 2, got '{workers}'" in err
+    assert run(capsys, *argv, "--workers", "2")[0] == 0
 
 
 # -- mc and exhaustive -----------------------------------------------------
@@ -474,14 +474,15 @@ def test_negative_n_is_usage_error(capsys):
     "argv, digits",
     [
         (("exhaustive", "--dist", "rademacher", "--k", "2", "--n", "120"), 4335),
-        (("oracle", "--k", "2", "--n", "2000", "--reduce", "first-row"), 5736),
+        (("oracle", "--k", "3", "--n", "2000"), 11517),
     ],
 )
 def test_budget_refusal_past_the_int_str_limit(capsys, argv, digits):
-    # 2^14400 and 2000! have more digits than str(int) may print.
+    # 2^14400 and p(2000) * 2000!^2 have more digits than str(int) may print.
     code, _, err = run(capsys, *argv)
     assert code == 2
-    assert f"needs a {digits}-digit number of weight evaluations" in err
+    unit = {"exhaustive": "matrices", "oracle": "weight evaluations"}[argv[0]]
+    assert f"needs a {digits}-digit number of {unit}" in err
 
 
 def test_long_counts_are_reported_by_their_digit_count():
@@ -495,7 +496,7 @@ def test_budget_refusal_prints_small_counts_in_full(capsys):
     code, _, err = run(capsys, "exhaustive", "--dist", "rademacher", "--k", "2", "--n", "5")
     assert code == 2
     assert err == (
-        "refused: exhaustive average for n=5 needs 33554432 weight evaluations, "
+        "refused: exhaustive average for n=5 needs 33554432 matrices, "
         "over the budget of 1000000\n"
     )
 

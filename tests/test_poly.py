@@ -72,6 +72,13 @@ def test_monomial_order_below_one_is_rejected():
         MomentPolynomial.monomial(1, {0: 1}, Basis.RAW)
 
 
+def test_symbols_below_their_first_order_are_refused():
+    with pytest.raises(ValueError, match="raw symbols start at order 1"):
+        raw_symbol(0)
+    with pytest.raises(ValueError, match=r"start at order 2 \(mu_1 is zero\)"):
+        central_symbol(1)
+
+
 def test_mean_lives_in_slot_zero():
     p = mono(1, {1: 3})
     ((exp, coef),) = p.terms()

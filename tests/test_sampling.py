@@ -508,6 +508,16 @@ def test_mc_pools_only_past_the_break_even(pool_starts):
     assert pool_starts == [2]
 
 
+def test_mc_pool_starts_no_more_processes_than_blocks(monkeypatch, inline_pool):
+    monkeypatch.setattr(sampling, "_PARALLEL_THRESHOLD", 0)
+    starts = inline_pool(sampling)
+    serial = mc_estimate(RADEMACHER, 2, 2, samples=POOLED_SAMPLES, seed=11)
+    pooled = mc_estimate(RADEMACHER, 2, 2, samples=POOLED_SAMPLES, seed=11, workers=500)
+    # Three blocks, so three processes at most.
+    assert starts == [3]
+    assert bits(pooled) == bits(serial)
+
+
 def test_mc_lands_near_known_targets():
     for dist, k, n, target in (
         (RADEMACHER, 2, 2, 2),

@@ -1,4 +1,4 @@
-"""Brute-force table oracle: signs, column weights, and full enumeration."""
+"""Brute-force table oracle: signs, column weights, and the orbit sum."""
 
 from __future__ import annotations
 
@@ -26,7 +26,6 @@ from detmom.tables import (
     MarkedRow,
     MarkedTable,
     PermutationTable,
-    Reduction,
     TableMode,
     oracle_moment,
     permutation_sign,
@@ -197,21 +196,17 @@ def test_marked_tables_for_k2_n2_enumerated():
     assert total == central_mono({2: 2}, 2) + central_mono({1: 2, 2: 1}, 4)
 
 
-# -- enumeration counts and reductions -------------------------------------
+# -- enumeration counts ----------------------------------------------------
 
 
 def test_table_counts():
-    assert table_count(2, 3, TableMode.PLAIN, Reduction.FULL) == 36
-    assert table_count(2, 3, TableMode.PLAIN, Reduction.FIRST_ROW_IDENTITY) == 6
-    assert table_count(4, 2, TableMode.MARKED, Reduction.FULL) == 6 ** 4
-    assert table_count(4, 2, TableMode.MARKED, Reduction.FIRST_ROW_IDENTITY) == 3 * 6 ** 3
     # p(9) = 30 cycle types; q(4) = 1 + 1 + 2 + 3 + 5 = 12 marked orbits.
-    assert table_count(2, 9, TableMode.PLAIN, Reduction.CONJUGACY) == 30
-    assert table_count(3, 4, TableMode.PLAIN, Reduction.CONJUGACY) == 5 * 24**2
-    assert table_count(4, 7, TableMode.PLAIN, Reduction.CONJUGACY) == 15 * 5040**2
-    assert table_count(3, 4, TableMode.MARKED, Reduction.CONJUGACY) == 12 * 120**2
-    assert table_count(4, 2, TableMode.MARKED, Reduction.CONJUGACY) == 3 * 4 * 6**2
-    assert table_count(1, 0, TableMode.MARKED, Reduction.CONJUGACY) == 1
+    assert table_count(2, 9, TableMode.PLAIN) == 30
+    assert table_count(3, 4, TableMode.PLAIN) == 5 * 24**2
+    assert table_count(4, 7, TableMode.PLAIN) == 15 * 5040**2
+    assert table_count(3, 4, TableMode.MARKED) == 12 * 120**2
+    assert table_count(4, 2, TableMode.MARKED) == 3 * 4 * 6**2
+    assert table_count(1, 0, TableMode.MARKED) == 1
 
 
 @pytest.mark.parametrize("mode", list(TableMode))
@@ -220,56 +215,26 @@ def test_orbit_sizes_sum_to_every_row(mode):
         options = tables._orbit_options(n, mode)
         rows = factorial(n) * (1 if mode is TableMode.PLAIN else n + 1)
         assert sum(abs(signed) for _, signed in options) == rows
-        assert len(options) == table_count(1, n, mode, Reduction.CONJUGACY)
+        assert len(options) == table_count(1, n, mode)
 
 
 @pytest.mark.parametrize(
-    "k, n, mode, reduction",
+    "k, n, mode",
     [
-        (2, 5, TableMode.PLAIN, Reduction.CONJUGACY),
-        (3, 3, TableMode.PLAIN, Reduction.CONJUGACY),
-        (4, 3, TableMode.PLAIN, Reduction.CONJUGACY),
-        (3, 3, TableMode.MARKED, Reduction.CONJUGACY),
-        (4, 2, TableMode.MARKED, Reduction.CONJUGACY),
-        (4, 2, TableMode.MARKED, Reduction.FIRST_ROW_IDENTITY),
-        (3, 2, TableMode.MARKED, Reduction.FULL),
+        (2, 5, TableMode.PLAIN),
+        (3, 3, TableMode.PLAIN),
+        (4, 3, TableMode.PLAIN),
+        (3, 2, TableMode.MARKED),
+        (3, 3, TableMode.MARKED),
+        (4, 2, TableMode.MARKED),
     ],
 )
-def test_table_count_is_the_number_of_tables_visited(k, n, mode, reduction):
+def test_table_count_is_the_number_of_tables_visited(k, n, mode):
     seen = []
-    oracle_moment(k, n, mode=mode, reduction=reduction,
+    oracle_moment(k, n, mode=mode,
                   progress=lambda done, total: seen.append((done, total)))
-    count = table_count(k, n, mode, reduction)
+    count = table_count(k, n, mode)
     assert seen[-1] == (count, count)
-
-
-def _conjugacy_cases():
-    for k in range(1, 7):
-        for n in range(4 if k >= 5 else 5):
-            yield k, n, TableMode.PLAIN
-    for k in range(1, 5):
-        for n in range(4):
-            yield k, n, TableMode.MARKED
-    yield 3, 4, TableMode.MARKED
-
-
-@pytest.mark.parametrize("k, n, mode", list(_conjugacy_cases()))
-def test_conjugacy_matches_full_enumeration(k, n, mode):
-    full = oracle_moment(k, n, mode=mode, reduction=Reduction.FULL, workers=2)
-    assert oracle_moment(k, n, mode=mode, reduction=Reduction.CONJUGACY) == full
-
-
-def test_reduction_requires_even_power():
-    with pytest.raises(ValueError):
-        oracle_moment(3, 2, reduction=Reduction.FIRST_ROW_IDENTITY)
-
-
-def test_full_and_reduced_enumerations_agree():
-    for n in (2, 3, 4):
-        assert oracle_moment(2, n, reduction=Reduction.FULL) == oracle_moment(
-            2, n, reduction=Reduction.FIRST_ROW_IDENTITY
-        )
-    assert oracle_moment(4, 2, reduction=Reduction.FULL) == oracle_moment(4, 2)
 
 
 # -- oracle against the closed forms ---------------------------------------
@@ -293,7 +258,7 @@ def test_oracle_matches_sixth_moment_once_centered():
 
 
 def test_marked_oracle_agrees_with_plain_after_conversion():
-    for k, n in ((2, 2), (2, 3), (4, 2)):
+    for k, n in ((2, 2), (2, 3), (4, 2), (3, 4)):
         assert central_to_raw(oracle_moment(k, n, mode=TableMode.MARKED)) == (
             oracle_moment(k, n)
         )
@@ -314,7 +279,6 @@ def test_odd_powers():
     for n in range(2, 6):
         for mode in TableMode:
             assert oracle_moment(1, n, mode=mode).is_zero
-            assert oracle_moment(1, n, mode=mode, reduction=Reduction.FULL).is_zero
 
 
 def test_zero_dimensional_determinant():
@@ -322,11 +286,8 @@ def test_zero_dimensional_determinant():
     for mode in TableMode:
         basis = Basis.RAW if mode is TableMode.PLAIN else Basis.CENTRAL
         for k in range(1, 7):
-            for reduction in Reduction:
-                if reduction is Reduction.FIRST_ROW_IDENTITY and k % 2:
-                    continue
-                got = oracle_moment(k, 0, mode=mode, reduction=reduction)
-                assert got == MomentPolynomial.constant(1, basis)
+            got = oracle_moment(k, 0, mode=mode)
+            assert got == MomentPolynomial.constant(1, basis)
 
 
 # -- budget and parallelism ------------------------------------------------
@@ -334,8 +295,9 @@ def test_zero_dimensional_determinant():
 
 def test_budget_refusal_happens_before_any_work():
     with pytest.raises(BudgetExceededError) as err:
-        oracle_moment(2, 6, reduction=Reduction.FULL, budget=1000)
-    assert err.value.required == 720 ** 2
+        oracle_moment(4, 6, budget=1000)
+    # p(6) = 11 orbits of the second row, 6!^2 choices of the other two.
+    assert err.value.required == 11 * 720**2
     assert err.value.budget == 1000
     assert "budget" in str(err.value)
 
@@ -353,35 +315,40 @@ def test_default_budget_refuses_k4_n7_before_any_work(monkeypatch):
 
 def test_worker_partitioning_is_deterministic(monkeypatch):
     monkeypatch.setattr(tables, "_PARALLEL_THRESHOLD", 10)
-    expected = second_moment(4)
-    assert oracle_moment(2, 4, reduction=Reduction.FULL, workers=3) == expected
-    assert oracle_moment(2, 4, workers=2) == expected
+    # p(6) = 11 tables, so both pools split the index range.
+    assert oracle_moment(2, 6, workers=3) == second_moment(6)
+    assert oracle_moment(2, 6, workers=2) == second_moment(6)
     assert oracle_moment(4, 2, mode=TableMode.MARKED, workers=3) == fourth_moment(2)
+
+
+def test_pool_starts_no_more_processes_than_chunks(monkeypatch, inline_pool):
+    monkeypatch.setattr(tables, "_PARALLEL_THRESHOLD", 0)
+    monkeypatch.setattr(tables, "_worker_plan", None)
+    starts = inline_pool(tables)
+    # p(4) = 5 tables make 5 chunks, whatever the worker count asked for.
+    assert oracle_moment(2, 4, workers=500) == second_moment(4)
+    assert starts == [5]
 
 
 @pytest.mark.parametrize("k, n, mode", [(4, 3, TableMode.PLAIN), (3, 3, TableMode.MARKED)])
 def test_conjugacy_workers_give_the_serial_result(monkeypatch, k, n, mode):
-    serial = oracle_moment(k, n, mode=mode, reduction=Reduction.CONJUGACY)
+    serial = oracle_moment(k, n, mode=mode)
     monkeypatch.setattr(tables, "_PARALLEL_THRESHOLD", 10)
     seen = []
     pooled = oracle_moment(
-        k, n, mode=mode, reduction=Reduction.CONJUGACY, workers=3,
+        k, n, mode=mode, workers=3,
         progress=lambda done, total: seen.append((done, total)),
     )
     assert pooled == serial
-    count = table_count(k, n, mode, Reduction.CONJUGACY)
+    count = table_count(k, n, mode)
     assert seen[-1] == (count, count)
 
 
 def test_progress_reports_reach_the_total():
     seen = []
-    oracle_moment(
-        2,
-        3,
-        reduction=Reduction.FIRST_ROW_IDENTITY,
-        progress=lambda done, total: seen.append((done, total)),
-    )
-    assert seen[-1] == (6, 6)
+    oracle_moment(2, 3, progress=lambda done, total: seen.append((done, total)))
+    # p(3) = 3 orbits of the second row.
+    assert seen[-1] == (3, 3)
 
 
 def test_progress_is_reported_once_per_block(monkeypatch):
@@ -436,8 +403,7 @@ def reference_groups(plan, k, table_ids, marked):
         if exp is None:
             continue
         sign = prod(int(signs[digits[i]]) for i, signs in plan.signs)
-        option = 0 if plan.orbit_axis is None else digits[plan.orbit_axis]
-        out[tuple(exp[c] for c in range(k + 1)), option] += sign
+        out[tuple(exp[c] for c in range(k + 1)), digits[plan.orbit_axis]] += sign
     return {g: s for g, s in out.items() if s}
 
 
@@ -456,21 +422,19 @@ def test_block_kernel_matches_the_column_run_reference(monkeypatch, k, mode):
     monkeypatch.setattr(tables, "BLOCK_SIZE", 64)
     rng = random.Random(f"{k}-{mode.value}")
     marked = mode is TableMode.MARKED
-    reductions = [r for r in Reduction if not (r is Reduction.FIRST_ROW_IDENTITY and k % 2)]
     for n in range(6):
-        for reduction in reductions:
-            plan = tables._plan(k, n, mode, reduction)
-            count = prod(plan.radices)
-            assert count == table_count(k, n, mode, reduction)
-            # The first tables (mostly alive in marked mode), a random run,
-            # and random single tables.
-            start = rng.randrange(count)
-            ranges = [(0, min(count, 200)), (start, min(count, start + 200))]
-            ranges += [(t, t + 1) for t in (rng.randrange(count) for _ in range(30))]
-            for lo, hi in ranges:
-                assert kernel_groups(plan, k, lo, hi) == reference_groups(
-                    plan, k, range(lo, hi), marked
-                ), (n, reduction, lo, hi)
+        plan = tables._plan(k, n, mode)
+        count = prod(plan.radices)
+        assert count == table_count(k, n, mode)
+        # The first tables (mostly alive in marked mode), a random run,
+        # and random single tables.
+        start = rng.randrange(count)
+        ranges = [(0, min(count, 200)), (start, min(count, start + 200))]
+        ranges += [(t, t + 1) for t in (rng.randrange(count) for _ in range(30))]
+        for lo, hi in ranges:
+            assert kernel_groups(plan, k, lo, hi) == reference_groups(
+                plan, k, range(lo, hi), marked
+            ), (n, lo, hi)
 
 
 def reference_oracle(k, n, mode):
@@ -490,26 +454,25 @@ def reference_oracle(k, n, mode):
     return MomentPolynomial(basis, {e: c for e, c in acc.items() if c})
 
 
-@pytest.mark.parametrize(
-    "k, n, mode",
-    [
-        (3, 3, TableMode.PLAIN),
-        (3, 4, TableMode.PLAIN),
-        (4, 3, TableMode.PLAIN),
-        (5, 2, TableMode.PLAIN),
-        (6, 2, TableMode.PLAIN),
-        (2, 4, TableMode.MARKED),
-        (3, 3, TableMode.MARKED),
-        (4, 2, TableMode.MARKED),
-        (6, 1, TableMode.MARKED),
-    ],
-)
-def test_every_reduction_matches_the_reference_oracle(k, n, mode):
-    expected = reference_oracle(k, n, mode)
-    for reduction in Reduction:
-        if reduction is Reduction.FIRST_ROW_IDENTITY and k % 2:
-            continue
-        assert oracle_moment(k, n, mode=mode, reduction=reduction) == expected
+def _conjugacy_cases():
+    # (4, 4) plain, (4, 3) marked and (3, 4) marked are too many tables for
+    # the reference; they are checked against the closed form and against
+    # the plain oracle instead.
+    for k in range(1, 7):
+        for n in range(4 if k >= 5 else 5):
+            if (k, n) != (4, 4):
+                yield k, n, TableMode.PLAIN
+    for k in range(1, 5):
+        for n in range(4):
+            if (k, n) != (4, 3):
+                yield k, n, TableMode.MARKED
+    yield 2, 4, TableMode.MARKED
+    yield 6, 1, TableMode.MARKED
+
+
+@pytest.mark.parametrize("k, n, mode", list(_conjugacy_cases()))
+def test_conjugacy_matches_full_enumeration(k, n, mode):
+    assert oracle_moment(k, n, mode=mode) == reference_oracle(k, n, mode)
 
 
 @pytest.mark.parametrize("mode", list(TableMode))
