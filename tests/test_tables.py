@@ -437,42 +437,82 @@ def test_block_kernel_matches_the_column_run_reference(monkeypatch, k, mode):
             ), (n, lo, hi)
 
 
-def reference_oracle(k, n, mode):
-    """E[det^k] summed over every table with the reference column rule."""
+def reference_oracle(k, n, mode, pin_first_row=False):
+    """E[det^k] summed over every table with the reference column rule.
+
+    With ``pin_first_row`` only the tables whose first row is the identity
+    are visited.  Permuting the columns of a table by s keeps its weight and
+    multiplies its sign by sgn(s)^k, so the full sum is the pinned sum times
+    the sum of sgn(s)^k over S_n: n! for even k or n < 2, else 0.
+    """
     marks = (None,) if mode is TableMode.PLAIN else (None, *range(n))
     options = [
-        (tuple(MARK if pos == mark else v for pos, v in enumerate(p)), inversion_parity(p))
+        (p, tuple(MARK if pos == mark else v for pos, v in enumerate(p)), inversion_parity(p))
         for p in itertools.permutations(range(n))
         for mark in marks
     ]
+    first = options
+    scale = 1
+    if pin_first_row:
+        first = [o for o in options if o[0] == tuple(range(n))]
+        scale = factorial(n) if k % 2 == 0 or n < 2 else 0
     acc = Counter()
-    for combo in itertools.product(options, repeat=k):
-        exp = reference_weight([values for values, _ in combo], mode is TableMode.MARKED)
-        if exp is not None:
-            acc[tuple(exp[c] for c in range(9))] += prod(s for _, s in combo)
+    if scale:
+        for combo in itertools.product(first, *[options] * (k - 1)):
+            exp = reference_weight([values for _, values, _ in combo], mode is TableMode.MARKED)
+            if exp is not None:
+                acc[tuple(exp[c] for c in range(9))] += scale * prod(s for _, _, s in combo)
     basis = Basis.RAW if mode is TableMode.PLAIN else Basis.CENTRAL
     return MomentPolynomial(basis, {e: c for e, c in acc.items() if c})
 
 
+def test_full_and_reduced_enumerations_agree():
+    cases = [(2, n, TableMode.PLAIN) for n in (2, 3, 4)]
+    cases += [(4, 2, TableMode.PLAIN), (3, 3, TableMode.PLAIN), (3, 3, TableMode.MARKED)]
+    cases += [(2, 3, TableMode.MARKED), (4, 2, TableMode.MARKED)]
+    for k, n, mode in cases:
+        assert reference_oracle(k, n, mode, pin_first_row=True) == (
+            reference_oracle(k, n, mode)
+        ), (k, n, mode)
+
+
+@pytest.mark.parametrize(
+    "k, n, mode",
+    [
+        (3, 3, TableMode.PLAIN),
+        (3, 4, TableMode.PLAIN),
+        (4, 3, TableMode.PLAIN),
+        (5, 2, TableMode.PLAIN),
+        (6, 2, TableMode.PLAIN),
+        (2, 4, TableMode.MARKED),
+        (3, 3, TableMode.MARKED),
+        (4, 2, TableMode.MARKED),
+        (6, 1, TableMode.MARKED),
+    ],
+)
+def test_every_reduction_matches_the_reference_oracle(k, n, mode):
+    # The orbit sum of the oracle and the first-row pin of the reference
+    # against the sum over every table.
+    expected = reference_oracle(k, n, mode)
+    assert oracle_moment(k, n, mode=mode) == expected
+    assert reference_oracle(k, n, mode, pin_first_row=True) == expected
+
+
 def _conjugacy_cases():
-    # (4, 4) plain, (4, 3) marked and (3, 4) marked are too many tables for
-    # the reference; they are checked against the closed form and against
-    # the plain oracle instead.
     for k in range(1, 7):
         for n in range(4 if k >= 5 else 5):
-            if (k, n) != (4, 4):
-                yield k, n, TableMode.PLAIN
+            yield k, n, TableMode.PLAIN
     for k in range(1, 5):
         for n in range(4):
-            if (k, n) != (4, 3):
-                yield k, n, TableMode.MARKED
-    yield 2, 4, TableMode.MARKED
-    yield 6, 1, TableMode.MARKED
+            yield k, n, TableMode.MARKED
+    yield 3, 4, TableMode.MARKED
 
 
 @pytest.mark.parametrize("k, n, mode", list(_conjugacy_cases()))
 def test_conjugacy_matches_full_enumeration(k, n, mode):
-    assert oracle_moment(k, n, mode=mode) == reference_oracle(k, n, mode)
+    # The full sum, taken over the tables with the first row pinned.
+    full = reference_oracle(k, n, mode, pin_first_row=True)
+    assert oracle_moment(k, n, mode=mode) == full
 
 
 @pytest.mark.parametrize("mode", list(TableMode))
