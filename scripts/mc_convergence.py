@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 from dataclasses import dataclass
 
-from detmom.cli import UsageError, _build_dist
+from detmom.cli import UsageError, _build_dist, _worker_count
 from detmom.sampling import DistributionSpec, mc_estimate
 
 
@@ -66,7 +66,7 @@ def parse_args() -> ConvergenceConfig:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--start", type=int, default=1000)
     parser.add_argument("--rounds", type=int, default=8)
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=_worker_count, default=1)
     args = parser.parse_args()
     try:
         dist = _build_dist(args)

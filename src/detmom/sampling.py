@@ -1,31 +1,50 @@
 """Numerical cross-checks: Monte-Carlo estimates and exhaustive averages.
 
 Determinants of matrices with rational entries are computed exactly after
-clearing denominators, by one fraction-free (Bareiss) kernel,
-`_batch_int_det`, vectorised over a batch of matrices.  By Sylvester's
+clearing denominators, by one fraction-free (Bareiss) kernel, `_bareiss`,
+vectorised over a batch of matrices held batch axis last, (n, n, B), so
+every elementwise loop runs over B contiguous items.  By Sylvester's
 identity every intermediate entry is a minor, so Hadamard's inequality
-bounds it and `_int64_safe` decides when the whole elimination fits in
-int64: +-1 entries up to n = 16, |entry| <= 2 up to n = 12.  Beyond that
-the same kernel runs on numpy ``object`` arrays of Python ints.
+bounds it (`_bareiss_bound`), and the bound picks one of three dtypes for
+the whole elimination:
+
+- float64 while it stays below 2^53 (`_float_safe`): +-1 entries up to
+  n = 14, |entry| <= 2 up to n = 10.  Every product, difference and exact
+  quotient of such integers is exact in float64, and its division is much
+  cheaper than int64 floor division.
+- int64 while it stays below 2^63 (`_int64_safe`): +-1 entries up to
+  n = 16, |entry| <= 2 up to n = 12.
+- numpy ``object`` arrays of Python ints beyond that.
+
+Either way the determinants are exact integers.  Random matrices are
+gathered from the scaled support straight into the kernel's layout
+(`_gather_dets`: `np.take` through the transposed index array).
 
 The exhaustive average enumerates every matrix in blocks of `BLOCK_SIZE`
 index codes, and the discrete Monte-Carlo sums add det^k once per distinct
 determinant of a block, so both are exact rationals; only the final
-estimate is floated.  Standard normal entries use floating LU determinants
-and compensated block summation; a sum that overflows float64 raises
-`OverflowError` instead of reporting ``inf``.
+estimate is floated.  When a law with s support values has no more than
+`BLOCK_SIZE` (and no more than the sample count) matrices, s^(n^2), the
+Monte-Carlo draw first takes every matrix's determinant once, through the
+same code enumeration as the exhaustive average (`_det_table`); a block
+then only reads its matrices' codes off the drawn indices, looks up their
+determinants and counts them with `np.bincount`.  Standard normal entries
+use floating LU determinants and compensated block summation; a sum that
+overflows float64 raises `OverflowError` instead of reporting ``inf``.
 
 Reproducibility: samples are drawn in fixed-size blocks from a counter-based
 Philox generator keyed by (seed, block index), and block partials are merged
 in block order.  The result for a given seed is bit-for-bit identical for
 any worker count.  A pool starts only when the draw is large enough to pay
-for it (`_PARALLEL_THRESHOLD`, in samples * n^3); smaller draws run
-serially whatever the worker count.
+for it (`_PARALLEL_THRESHOLD`, in samples * n^3), and never for a draw
+through the determinant table; smaller draws run serially whatever the
+worker count.  A pool has at most one process per block and per CPU.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -46,9 +65,14 @@ from .poly import Rational
 
 BLOCK_SIZE = 4096
 # Monte-Carlo work, in samples * n^3, from which a pool of 2 workers beats the
-# serial draw: measured on 2 vCPUs at 4-6M (100,000 samples at n = 3 take
-# 35-70 ms serial and 70-100 ms pooled), against 30-60 ms to start the pool.
-_PARALLEL_THRESHOLD = 6_000_000
+# serial draw.  Measured on 2 vCPUs, serial against pooled `mc_estimate`: +-1
+# entries, n = 8, 12,288 samples (6.3M) 35 / 39 ms, 32,768 (16.8M) 90 / 71 ms;
+# n = 12, 8192 (14M) 55 / 54 ms, and 88 / 67 ms for |entry| <= 2 (int64);
+# normal entries, n = 8, 20,000 (10M) 52 / 56 ms, 40,000 (20M) 119 / 89 ms.
+# A draw through the determinant table never pools: its block costs about
+# one RNG call, less than sending it to a worker (10^6 samples at n = 3
+# 86 ms serial, 196 ms pooled).
+_PARALLEL_THRESHOLD = 12_000_000
 DEFAULT_SAMPLES = 10**6
 DEFAULT_EXHAUSTIVE_BUDGET = 10**6
 DEFAULT_MC_BUDGET = 10**8
@@ -131,22 +155,45 @@ def exact_det(rows: Sequence[Sequence[Rational]]) -> Fraction:
 
 
 def _batch_int_det(mats: np.ndarray) -> np.ndarray:
-    """Exact determinants of a (B, n, n) integer array, by Bareiss elimination.
+    """Exact determinants of a (B, n, n) integer-valued array; see `_bareiss`."""
+    return _bareiss(np.moveaxis(mats, 0, -1).copy())
 
-    The dtype is ``object`` (Python ints) or ``int64``; for ``int64`` the
-    caller checks `_int64_safe` first.  Each step pivots on the first
-    nonzero entry at or below the diagonal and applies one fraction-free
-    rank-1 update to the trailing block of every matrix at once.  A matrix
-    whose pivot column is zero is singular: its trailing block is zeroed
-    and given a unit pivot, so it stays zero with every division exact.
+
+def _gather_dets(support: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Exact determinants of the matrices ``support[idx]``, idx of shape (B, n, n).
+
+    `np.take` through the transposed indices writes a fresh C-contiguous
+    (n, n, B) array, the kernel's layout, with no second copy.  (Plain
+    fancy indexing with the same indices gives a strided array.)
     """
-    B, n, _ = mats.shape
+    return _bareiss(np.take(support, idx.transpose(1, 2, 0)))
+
+
+def _bareiss(m: np.ndarray) -> np.ndarray:
+    """Exact determinants of an (n, n, B) array, batch axis last, by Bareiss.
+
+    ``m`` is overwritten.  Its dtype is ``float64``, ``int64`` or ``object``
+    (Python ints); the caller checks `_float_safe` or `_int64_safe` first.
+    float64 holds integers below 2^53 exactly, so its products, differences
+    and exact quotients are the integer ones, and it divides with ``/``;
+    the other dtypes divide with ``//``.  Determinants come back as int64
+    for float64 input, else in the input dtype.
+
+    Each step pivots on the first nonzero entry at or below the diagonal
+    and applies one fraction-free rank-1 update to the trailing block of
+    every matrix at once.  A matrix whose pivot column is zero is singular:
+    its trailing block is zeroed and given a unit pivot, so it stays zero
+    with every division exact.
+    """
+    n, _, B = m.shape
+    out = np.int64 if m.dtype == np.float64 else m.dtype
     if n == 0:
-        return np.ones(B, dtype=mats.dtype)
-    # Batch axis last, so every elementwise loop runs over B contiguous items.
-    m = np.moveaxis(mats, 0, -1).copy()
+        return np.ones(B, dtype=out)
+    divide = np.true_divide if m.dtype == np.float64 else np.floor_divide
     sign = np.ones(B, dtype=m.dtype)
     prev = np.ones(B, dtype=m.dtype)
+    # One buffer for every step's rank-1 product.
+    buf = np.empty((n - 1) ** 2 * B, dtype=m.dtype)
     for s in range(n - 1):
         zero = np.nonzero(m[s, s] == 0)[0]
         if zero.size:
@@ -161,36 +208,54 @@ def _batch_int_det(mats: np.ndarray) -> np.ndarray:
             sign[swap] = -sign[swap]
         piv = m[s, s].copy()
         sub = m[s + 1 :, s + 1 :]
+        rank1 = buf[: sub.size].reshape(sub.shape)
+        np.multiply(m[s + 1 :, s, None], m[s, None, s + 1 :], out=rank1)
         sub *= piv
-        sub -= m[s + 1 :, s, None] * m[s, None, s + 1 :]
+        sub -= rank1
         if s:
-            sub //= prev
+            divide(sub, prev, out=sub)
         prev = piv
-    return sign * m[n - 1, n - 1]
+    return (sign * m[n - 1, n - 1]).astype(out, copy=False)
 
 
-def _int64_safe(n: int, max_abs: int) -> bool:
-    """Whether Bareiss on n x n matrices with |entries| <= max_abs fits int64.
+def _bareiss_bound(n: int, max_abs: int) -> int:
+    """The largest magnitude Bareiss forms on n x n matrices, |entries| <= max_abs.
 
     By Sylvester's identity every intermediate entry is a minor of order
     r <= n - 1, bounded by Hadamard's inequality as H_r = r^(r/2) max_abs^r.
     The largest value formed before a division is a difference of two
-    products of such minors, at most 2 H_(n-1)^2.  That admits +-1
-    entries up to n = 16 and |entry| <= 2 up to n = 12.
+    products of such minors, at most 2 H_(n-1)^2.
     """
     r = max(n - 1, 1)
-    return 2 * r**r * max_abs ** (2 * r) < 2**63
+    return 2 * r**r * max_abs ** (2 * r)
+
+
+def _float_safe(n: int, max_abs: int) -> bool:
+    """Whether float64 Bareiss is exact: +-1 up to n = 14, |entry| <= 2 up to 10."""
+    return _bareiss_bound(n, max_abs) < 2**53
+
+
+def _int64_safe(n: int, max_abs: int) -> bool:
+    """Whether int64 Bareiss cannot overflow: +-1 up to n = 16, |entry| <= 2 up to 12."""
+    return _bareiss_bound(n, max_abs) < 2**63
 
 
 def _integer_support(dist: DistributionSpec, n: int) -> tuple[int, np.ndarray]:
     """The lcm ``scale`` of the support's denominators, and support * scale.
 
-    The array is int64 when `_int64_safe` allows it for n x n matrices,
-    else an ``object`` array of Python ints.
+    The array is float64 when `_float_safe` allows it for n x n matrices,
+    else int64 when `_int64_safe` does, else an ``object`` array of Python
+    ints.
     """
     scale = math.lcm(*(v.denominator for v in dist.values))
     scaled = [int(v * scale) for v in dist.values]
-    dtype = np.int64 if _int64_safe(n, max(map(abs, scaled))) else object
+    top = max(map(abs, scaled))
+    if _float_safe(n, top):
+        dtype = np.float64
+    elif _int64_safe(n, top):
+        dtype = np.int64
+    else:
+        dtype = object
     return scale, np.array(scaled, dtype=dtype)
 
 
@@ -209,6 +274,25 @@ def _index_block(start: int, count: int, s: int, cells: int) -> np.ndarray:
     return idx
 
 
+def _code_dets(
+    support: np.ndarray, start: int, count: int, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Support indices (count, n*n) and determinants of matrices start .. start+count-1."""
+    idx = _index_block(start, count, len(support), n * n)
+    return idx, _gather_dets(support, idx.reshape(count, n, n))
+
+
+def _det_table(support: np.ndarray, n: int) -> tuple[list[int], np.ndarray]:
+    """The distinct determinants of all n x n matrices over ``support``.
+
+    Returns them sorted, with, for every matrix code of `_index_block`, the
+    position of its determinant among them.
+    """
+    _, dets = _code_dets(support, 0, len(support) ** (n * n), n)
+    values, ids = np.unique(dets, return_inverse=True)
+    return values.tolist(), ids.reshape(-1)
+
+
 def exhaustive_moment(
     dist: DistributionSpec,
     k: int,
@@ -218,7 +302,7 @@ def exhaustive_moment(
     """E[det(A)^k] as an exact average over all |support|^(n^2) matrices.
 
     Matrices are enumerated in blocks of `BLOCK_SIZE` and their
-    determinants computed by `_batch_int_det`.  det^k is summed once per
+    determinants computed by `_code_dets`.  det^k is summed once per
     distinct determinant, and for non-uniform probabilities once per
     distinct (determinant, multiset of support indices), which fixes the
     matrix's probability.
@@ -242,8 +326,7 @@ def exhaustive_moment(
     acc = 0
     by_multiset: dict[tuple[int, ...], int] = {}
     for start in range(0, total, BLOCK_SIZE):
-        idx = _index_block(start, min(BLOCK_SIZE, total - start), s, cells)
-        dets = _batch_int_det(support[idx].reshape(len(idx), n, n))
+        idx, dets = _code_dets(support, start, min(BLOCK_SIZE, total - start), n)
         if uniform:
             values, counts = np.unique(dets, return_counts=True)
             acc += sum(c * d**k for d, c in zip(values.tolist(), counts.tolist()))
@@ -362,7 +445,7 @@ def _normal_block(args: tuple) -> tuple[float, float]:
 
 
 def _discrete_block(args: tuple) -> tuple[int, int]:
-    seed, block, count, n, k, support, cum, uniform = args
+    seed, block, count, n, k, support, cum, uniform, table = args
     g = _block_rng(seed, block)
     s = len(support)
     if uniform:
@@ -370,10 +453,17 @@ def _discrete_block(args: tuple) -> tuple[int, int]:
     else:
         u = g.random((count, n, n))
         idx = np.minimum(np.searchsorted(cum, u, side="right"), s - 1)
-    values, counts = np.unique(_batch_int_det(support[idx]), return_counts=True)
+    if table is None:
+        found, counts = np.unique(_gather_dets(support, idx), return_counts=True)
+        values = found.tolist()
+    else:
+        # The matrix code of `_index_block`: entry j is digit n*n-1-j in base s.
+        values, ids = table
+        codes = idx.reshape(count, n * n) @ s ** np.arange(n * n - 1, -1, -1)
+        counts = np.bincount(ids[codes], minlength=len(values))
     sx = 0
     sxx = 0
-    for d, c in zip(values.tolist(), counts.tolist()):
+    for d, c in zip(values, counts.tolist()):
         v = d**k
         sx += c * v
         sxx += c * v * v
@@ -439,10 +529,15 @@ def mc_estimate(
         scale, support = _integer_support(dist, n)
         uniform = len(set(dist.probs)) == 1
         cum = np.cumsum([float(p) for p in dist.probs])
+        # Few enough matrices to take every determinant once.
+        small = len(support) ** (n * n) <= min(BLOCK_SIZE, samples)
+        table = _det_table(support, n) if small else None
         jobs = [
-            (seed, b, count, n, k, support, cum, uniform) for b, count in blocks
+            (seed, b, count, n, k, support, cum, uniform, table)
+            for b, count in blocks
         ]
-        parts = _run_blocks(_discrete_block, jobs, workers, samples * n**3)
+        work = 0 if small else samples * n**3
+        parts = _run_blocks(_discrete_block, jobs, workers, work)
         denom = Fraction(scale) ** (n * k)
         sum_x = Fraction(sum(p[0] for p in parts)) / denom
         sum_xx = Fraction(sum(p[1] for p in parts)) / denom**2
@@ -473,9 +568,10 @@ def _float_overflow(k: int, n: int) -> OverflowError:
 def _run_blocks(fn, jobs: list, workers: int, work: int) -> list:
     """``fn`` over ``jobs`` in order; pooled only when the ``work`` pays for it.
 
-    A pool starts at most one process per job.
+    A pool starts at most one process per job and per CPU.
     """
-    if workers > 1 and len(jobs) > 1 and work >= _PARALLEL_THRESHOLD:
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    if workers > 1 and work >= _PARALLEL_THRESHOLD:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, jobs))
     return [fn(job) for job in jobs]

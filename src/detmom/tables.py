@@ -67,6 +67,7 @@ the index and the packed key with its orbit option must fit in 63 bits.
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -620,7 +621,7 @@ def oracle_moment(
     would exceed ``budget`` weight evaluations.  ``progress`` receives
     (tables visited, `table_count`) after every block, or every chunk of
     the index range when pooled.  Results are exact and independent of
-    ``workers``; a pool starts at most one process per chunk.
+    ``workers``; a pool starts at most one process per chunk and per CPU.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -635,6 +636,7 @@ def oracle_moment(
     plan = _plan(k, n, mode)
     count = prod(plan.radices)
 
+    workers = min(workers, os.cpu_count() or 1)
     if workers > 1 and count >= _PARALLEL_THRESHOLD:
         chunks = min(count, 4 * workers)
         bounds = [(i * count) // chunks for i in range(chunks + 1)]

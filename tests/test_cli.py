@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -348,6 +351,22 @@ def test_workers_outside_one_to_the_cpu_count_are_usage_errors(capsys, monkeypat
         assert (code, out) == (64, ""), workers
         assert f"from 1 to 2, got '{workers}'" in err
     assert run(capsys, *argv, "--workers", "2")[0] == 0
+
+
+def test_convergence_script_takes_the_cli_worker_count(monkeypatch, capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "mc_convergence.py"
+    spec = importlib.util.spec_from_file_location("mc_convergence", path)
+    script = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "mc_convergence", script)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setattr("sys.argv", ["mc_convergence.py", "--workers", "500"])
+    with pytest.raises(SystemExit) as exit_:
+        script.parse_args()
+    assert exit_.value.code == 2
+    assert "from 1 to 2, got '500'" in capsys.readouterr().err
+    monkeypatch.setattr("sys.argv", ["mc_convergence.py", "--workers", "2"])
+    assert script.parse_args().workers == 2
 
 
 # -- mc and exhaustive -----------------------------------------------------

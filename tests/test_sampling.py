@@ -32,7 +32,10 @@ from detmom.sampling import (
     exhaustive_moment,
     mc_estimate,
     _batch_int_det,
+    _float_safe,
+    _gather_dets,
     _int64_safe,
+    _integer_support,
 )
 
 RADEMACHER = DistributionSpec.rademacher()
@@ -248,6 +251,63 @@ def test_int64_range():
     assert _int64_safe(1, 2**31 - 1) and not _int64_safe(1, 2**31)
 
 
+def test_float64_range():
+    assert [n for n in range(1, 40) if _float_safe(n, 1)] == list(range(1, 15))
+    assert [n for n in range(1, 40) if _float_safe(n, 2)] == list(range(1, 11))
+    assert _float_safe(1, 2**26 - 1) and not _float_safe(1, 2**26)
+
+
+def pm(values):
+    """A uniform law on integer ``values``."""
+    return discrete(values, [Fraction(1, len(values))] * len(values))
+
+
+def test_support_dtype_follows_the_bounds():
+    # No input reaches float64 past 2^53, nor int64 past 2^63.
+    for top in (1, 2, 3, 1000, 2**26, 2**31):
+        dist = pm([-top, top])
+        for n in range(0, 20):
+            want = (
+                np.float64 if _float_safe(n, top)
+                else np.int64 if _int64_safe(n, top)
+                else object
+            )
+            assert _integer_support(dist, n)[1].dtype == want, (top, n)
+
+
+def tier_cases():
+    """(support, n, matrices) at each edge of the float64 tier."""
+    rng = np.random.default_rng(14)
+    h16 = sylvester_hadamard(16)
+    h12 = 2 * paley_hadamard_12()
+    for values, h, edge in (((-1, 1), h16, 14), ((-2, -1, 0, 1, 2), h12, 10)):
+        for n in (edge, edge + 1):
+            # Leading blocks of scrambled Hadamard matrices come near the
+            # largest determinants; random draws give zero pivots and swaps.
+            mats = np.concatenate([
+                scrambled(h, 8, seed=n)[:, :n, :n],
+                np.array(values)[rng.integers(0, len(values), size=(24, n, n))],
+                np.full((1, n, n), max(values)),
+            ])
+            yield values, n, mats
+
+
+@pytest.mark.parametrize(
+    "values, n, mats", list(tier_cases()), ids=["pm1-n14", "pm1-n15", "pm2-n10", "pm2-n11"]
+)
+def test_float_tier_matches_the_object_kernel_at_its_edge(values, n, mats):
+    scale, support = _integer_support(pm(values), n)
+    assert scale == 1
+    assert support.dtype == (np.float64 if n <= (14 if len(values) == 2 else 10) else np.int64)
+    idx = np.searchsorted(values, mats)
+    got = _gather_dets(support, idx)
+    assert got.dtype == np.int64
+    want = _batch_int_det(mats.astype(object)).tolist()
+    assert got.tolist() == want
+    assert _batch_int_det(mats.astype(np.float64)).tolist() == want
+    assert max(map(abs, want)) > 2**20
+
+
 def test_batch_determinants_on_object_dtype():
     big = 10 ** 12
     mats = np.array(
@@ -455,7 +515,11 @@ def test_first_power_target_is_determinant_of_the_mean_matrix():
 
 @pytest.fixture
 def pool_starts(monkeypatch):
-    """The max_workers of every process pool `mc_estimate` starts."""
+    """The max_workers of every process pool `mc_estimate` starts.
+
+    The CPU count reads as 8, so a pool gets the workers asked for.
+    """
+    monkeypatch.setattr("os.cpu_count", lambda: 8)
     starts = []
 
     class RecordingPool(ProcessPoolExecutor):
@@ -500,22 +564,96 @@ def test_mc_normal_is_reproducible_and_worker_independent(monkeypatch, pool_star
 
 
 def test_mc_pools_only_past_the_break_even(pool_starts):
-    # 100,000 samples at n = 3 (2.7M units of samples * n^3) run faster
-    # serially; 3 blocks at n = 8 (6.3M) reach the break-even.
-    mc_estimate(RADEMACHER, 2, 3, samples=100_000, seed=0, workers=2)
+    # 5 blocks at n = 8 (10.5M units of samples * n^3) run faster serially,
+    # 6 blocks (12.6M) reach the break-even; a draw through the determinant
+    # table never pools, even at 10^6 samples (27M).
+    mc_estimate(RADEMACHER, 2, 8, samples=5 * sampling.BLOCK_SIZE, seed=0, workers=2)
+    mc_estimate(RADEMACHER, 2, 3, samples=10**6, seed=0, workers=2)
     assert pool_starts == []
-    mc_estimate(RADEMACHER, 2, 8, samples=3 * sampling.BLOCK_SIZE, seed=0, workers=2)
+    mc_estimate(RADEMACHER, 2, 8, samples=6 * sampling.BLOCK_SIZE, seed=0, workers=2)
     assert pool_starts == [2]
 
 
 def test_mc_pool_starts_no_more_processes_than_blocks(monkeypatch, inline_pool):
     monkeypatch.setattr(sampling, "_PARALLEL_THRESHOLD", 0)
+    monkeypatch.setattr("os.cpu_count", lambda: 64)
     starts = inline_pool(sampling)
     serial = mc_estimate(RADEMACHER, 2, 2, samples=POOLED_SAMPLES, seed=11)
     pooled = mc_estimate(RADEMACHER, 2, 2, samples=POOLED_SAMPLES, seed=11, workers=500)
     # Three blocks, so three processes at most.
     assert starts == [3]
     assert bits(pooled) == bits(serial)
+
+
+@pytest.mark.parametrize("cpus, want", [(2, [2]), (1, []), (None, [])])
+def test_mc_pool_starts_no_more_processes_than_cpus(monkeypatch, inline_pool, cpus, want):
+    monkeypatch.setattr(sampling, "_PARALLEL_THRESHOLD", 0)
+    monkeypatch.setattr("os.cpu_count", lambda: cpus)
+    starts = inline_pool(sampling)
+    serial = mc_estimate(RADEMACHER, 2, 2, samples=POOLED_SAMPLES, seed=11)
+    pooled = mc_estimate(RADEMACHER, 2, 2, samples=POOLED_SAMPLES, seed=11, workers=500)
+    assert starts == want
+    assert bits(pooled) == bits(serial)
+
+
+def test_determinant_table_only_when_the_draw_is_larger(monkeypatch):
+    built = []
+    build = sampling._det_table
+    monkeypatch.setattr(
+        sampling, "_det_table", lambda support, n: built.append(n) or build(support, n)
+    )
+    # 2^9 = 512 matrices at n = 3; 2^16 at n = 4 pass BLOCK_SIZE.
+    a = mc_estimate(RADEMACHER, 2, 3, samples=511, seed=3)
+    b = mc_estimate(RADEMACHER, 2, 4, samples=10_000, seed=3)
+    assert built == []
+    c = mc_estimate(RADEMACHER, 2, 3, samples=512, seed=3)
+    assert built == [3]
+    assert a.estimate != c.estimate and b.std_error > 0
+
+
+TABLE_LAWS = {
+    "rademacher": RADEMACHER,
+    "uniform-3": pm([-1, 0, 1]),
+    "non-uniform": discrete(["-1", "0", "1"], ["1/4", "1/2", "1/4"]),
+    "lopsided": discrete(["0", "1"], ["1/3", "2/3"]),
+    "fractional": discrete(["-1/2", "1/3", "5/7"], ["1/6", "1/2", "1/3"]),
+    "single": discrete(["3"], ["1"]),
+}
+
+
+@pytest.mark.parametrize("pooled", [False, True])
+@pytest.mark.parametrize("law", list(TABLE_LAWS))
+def test_determinant_table_matches_the_kernel(monkeypatch, inline_pool, law, pooled):
+    # Two blocks, the second one partial; every sum is exact, so the table
+    # and the kernel give the same bits, serially or pooled.
+    dist = TABLE_LAWS[law]
+    samples = sampling.BLOCK_SIZE + 500
+    tables = []
+    build = sampling._det_table
+
+    def recording(support, n):
+        tables.append(n)
+        return build(support, n)
+
+    def kernel_only(support, n):
+        return None
+
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    starts = inline_pool(sampling)
+    workers = 2 if pooled else 1
+    if pooled:
+        monkeypatch.setattr(sampling, "_PARALLEL_THRESHOLD", 0)
+    for n in range(4):
+        s = len(dist.values)
+        for seed in (0, 7, 2024):
+            for k in range(1, 7):
+                monkeypatch.setattr(sampling, "_det_table", recording)
+                fast = mc_estimate(dist, k, n, samples=samples, seed=seed, workers=workers)
+                monkeypatch.setattr(sampling, "_det_table", kernel_only)
+                slow = mc_estimate(dist, k, n, samples=samples, seed=seed)
+                assert bits(fast) == bits(slow), (n, seed, k)
+        assert tables.count(n) == (18 if s ** (n * n) <= sampling.BLOCK_SIZE else 0)
+    assert starts == ([2] * 4 * 18 if pooled else [])
 
 
 def test_mc_lands_near_known_targets():

@@ -324,10 +324,22 @@ def test_worker_partitioning_is_deterministic(monkeypatch):
 def test_pool_starts_no_more_processes_than_chunks(monkeypatch, inline_pool):
     monkeypatch.setattr(tables, "_PARALLEL_THRESHOLD", 0)
     monkeypatch.setattr(tables, "_worker_plan", None)
+    monkeypatch.setattr("os.cpu_count", lambda: 64)
     starts = inline_pool(tables)
     # p(4) = 5 tables make 5 chunks, whatever the worker count asked for.
     assert oracle_moment(2, 4, workers=500) == second_moment(4)
     assert starts == [5]
+
+
+@pytest.mark.parametrize("cpus, want", [(2, [2]), (1, []), (None, [])])
+def test_pool_starts_no_more_processes_than_cpus(monkeypatch, inline_pool, cpus, want):
+    monkeypatch.setattr(tables, "_PARALLEL_THRESHOLD", 0)
+    monkeypatch.setattr(tables, "_worker_plan", None)
+    monkeypatch.setattr("os.cpu_count", lambda: cpus)
+    starts = inline_pool(tables)
+    # p(6) = 11 tables: a pool of 2 takes 8 chunks.
+    assert oracle_moment(2, 6, workers=500) == second_moment(6)
+    assert starts == want
 
 
 @pytest.mark.parametrize("k, n, mode", [(4, 3, TableMode.PLAIN), (3, 3, TableMode.MARKED)])
