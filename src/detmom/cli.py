@@ -62,14 +62,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _env_budget() -> Optional[int]:
+def _budget(args: argparse.Namespace) -> Optional[int]:
+    budget = args.budget
     raw = os.environ.get("DETMOM_BUDGET")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise UsageError(f"DETMOM_BUDGET must be an integer, got {raw!r}") from exc
+    if budget is None and raw is not None:
+        try:
+            budget = int(raw)
+        except ValueError as exc:
+            raise UsageError(f"DETMOM_BUDGET must be an integer, got {raw!r}") from exc
+    if budget is not None and budget < 0:
+        raise UsageError(f"the budget must be nonnegative, got {budget}")
+    return budget
 
 
 def _check_kn(k: int, n: Optional[int] = None, order: Optional[int] = None) -> None:
@@ -121,7 +124,7 @@ def _convert_basis(p: MomentPolynomial, target: Optional[str]) -> MomentPolynomi
 def _parse_fractions(text: str, what: str) -> list[Fraction]:
     try:
         return [Fraction(part.strip()) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"could not parse {what}: {exc}") from exc
 
 
@@ -213,13 +216,12 @@ def _progress_printer(total_label: str = "tables"):
 def _cmd_oracle(args: argparse.Namespace) -> int:
     _check_kn(args.k, args.n)
     mode = TableMode(args.mode)
-    budget = args.budget if args.budget is not None else _env_budget()
     progress = _progress_printer() if sys.stderr.isatty() else None
     p = oracle_moment(
         args.k,
         args.n,
         mode=mode,
-        budget=budget,
+        budget=_budget(args),
         workers=args.workers,
         progress=progress,
     )
@@ -232,7 +234,6 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 def _cmd_mc(args: argparse.Namespace) -> int:
     _check_kn(args.k, args.n)
     dist = _build_dist(args)
-    budget = args.budget if args.budget is not None else _env_budget()
     report = mc_estimate(
         dist,
         args.k,
@@ -240,7 +241,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         samples=args.samples,
         seed=args.seed,
         workers=args.workers,
-        budget=budget,
+        budget=_budget(args),
     )
     if args.format == "json":
         print(json.dumps(report.to_json_dict()))
@@ -259,8 +260,7 @@ def _cmd_exhaustive(args: argparse.Namespace) -> int:
     dist = _build_dist(args)
     if not dist.finite:
         raise UsageError("exhaustive averaging needs a finite support")
-    budget = args.budget if args.budget is not None else _env_budget()
-    value = exhaustive_moment(dist, args.k, args.n, budget=budget)
+    value = exhaustive_moment(dist, args.k, args.n, budget=_budget(args))
     if args.format == "json":
         print(json.dumps({"value": str(value)}))
     else:

@@ -34,22 +34,20 @@ overflows float64 raises `OverflowError` instead of reporting ``inf``.
 
 Reproducibility: samples are drawn in fixed-size blocks from a counter-based
 Philox generator keyed by (seed, block index), and block partials are merged
-in block order.  The result for a given seed is bit-for-bit identical for
-any worker count.  A pool starts only when the draw is large enough to pay
-for it (`_PARALLEL_THRESHOLD`, in samples * n^3), and never for a draw
-through the determinant table; smaller draws run serially whatever the
-worker count.  A pool has at most one process per block and per CPU.
+in block order, so the result for a given seed is bit-for-bit identical for
+any worker count.  A draw large enough to pay for a pool
+(`_PARALLEL_THRESHOLD`, in samples * n^3; never one through the determinant
+table) hands contiguous ranges of blocks to `pool.map_ranges`, which sends
+the law to each worker once; smaller draws run in this process.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -62,6 +60,7 @@ from .formulas import (
     gaussian_moment_table,
 )
 from .poly import Rational
+from .pool import map_ranges
 
 BLOCK_SIZE = 4096
 # Monte-Carlo work, in samples * n^3, from which a pool of 2 workers beats the
@@ -70,8 +69,8 @@ BLOCK_SIZE = 4096
 # n = 12, 8192 (14M) 55 / 54 ms, and 88 / 67 ms for |entry| <= 2 (int64);
 # normal entries, n = 8, 20,000 (10M) 52 / 56 ms, 40,000 (20M) 119 / 89 ms.
 # A draw through the determinant table never pools: its block costs about
-# one RNG call, less than sending it to a worker (10^6 samples at n = 3
-# 86 ms serial, 196 ms pooled).
+# one RNG call, so a pool pays only for huge draws (n = 3, the table sent
+# once: 10^5 samples 10-14 ms serial, 21-39 pooled; 10^6 84-111 / 63-95).
 _PARALLEL_THRESHOLD = 12_000_000
 DEFAULT_SAMPLES = 10**6
 DEFAULT_EXHAUSTIVE_BUDGET = 10**6
@@ -434,43 +433,50 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _normal_block(args: tuple) -> tuple[float, float]:
-    seed, block, count, n, k = args
-    g = _block_rng(seed, block)
-    mats = g.standard_normal((count, n, n))
-    # Overflow shows as a non-finite sum, which mc_estimate reports.
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.linalg.det(mats) ** k
-        return float(np.sum(vals)), float(np.sum(vals * vals))
+def _normal_blocks(shared: tuple, lo: int, hi: int) -> list[tuple[float, float]]:
+    """(sum of det^k, sum of det^2k) of each of the blocks lo .. hi-1."""
+    seed, samples, n, k = shared
+    out = []
+    for b in range(lo, hi):
+        count = min(BLOCK_SIZE, samples - b * BLOCK_SIZE)
+        mats = _block_rng(seed, b).standard_normal((count, n, n))
+        # Overflow shows as a non-finite sum, which mc_estimate reports.
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.linalg.det(mats) ** k
+            out.append((float(np.sum(vals)), float(np.sum(vals * vals))))
+    return out
 
 
-def _discrete_block(args: tuple) -> tuple[int, int]:
-    seed, block, count, n, k, support, cum, uniform, table = args
-    g = _block_rng(seed, block)
+def _discrete_blocks(shared: tuple, lo: int, hi: int) -> tuple[int, int]:
+    """Exact sums of det^k and det^2k over the blocks lo .. hi-1, support scaled."""
+    seed, samples, n, k, support, cum, uniform, table = shared
     s = len(support)
-    if uniform:
-        idx = g.integers(0, s, size=(count, n, n))
-    else:
-        u = g.random((count, n, n))
-        idx = np.minimum(np.searchsorted(cum, u, side="right"), s - 1)
-    if table is None:
-        found, counts = np.unique(_gather_dets(support, idx), return_counts=True)
-        values = found.tolist()
-    else:
-        # The matrix code of `_index_block`: entry j is digit n*n-1-j in base s.
-        values, ids = table
-        codes = idx.reshape(count, n * n) @ s ** np.arange(n * n - 1, -1, -1)
-        counts = np.bincount(ids[codes], minlength=len(values))
     sx = 0
     sxx = 0
-    for d, c in zip(values, counts.tolist()):
-        v = d**k
-        sx += c * v
-        sxx += c * v * v
+    for b in range(lo, hi):
+        count = min(BLOCK_SIZE, samples - b * BLOCK_SIZE)
+        g = _block_rng(seed, b)
+        if uniform:
+            idx = g.integers(0, s, size=(count, n, n))
+        else:
+            u = g.random((count, n, n))
+            idx = np.minimum(np.searchsorted(cum, u, side="right"), s - 1)
+        if table is None:
+            found, counts = np.unique(_gather_dets(support, idx), return_counts=True)
+            values = found.tolist()
+        else:
+            # The matrix code of `_index_block`: entry j is digit n*n-1-j in base s.
+            values, ids = table
+            codes = idx.reshape(count, n * n) @ s ** np.arange(n * n - 1, -1, -1)
+            counts = np.bincount(ids[codes], minlength=len(values))
+        for d, c in zip(values, counts.tolist()):
+            v = d**k
+            sx += c * v
+            sxx += c * v * v
     return sx, sxx
 
 
-def _kahan_sum(values: list[float]) -> float:
+def _kahan_sum(values: Iterable[float]) -> float:
     total = 0.0
     comp = 0.0
     for v in values:
@@ -505,39 +511,27 @@ def mc_estimate(
             samples, budget, f"Monte-Carlo estimate for k={k}, n={n}", unit="samples"
         )
 
-    blocks = []
-    start = 0
-    index = 0
-    while start < samples:
-        count = min(BLOCK_SIZE, samples - start)
-        blocks.append((index, count))
-        start += count
-        index += 1
-
+    blocks = -(-samples // BLOCK_SIZE)
+    # Few enough matrices to take every determinant once (`_det_table`).
+    small = dist.finite and len(dist.values) ** (n * n) <= min(BLOCK_SIZE, samples)
+    if (0 if small else samples * n**3) < _PARALLEL_THRESHOLD:
+        workers = 1
     if dist.kind is DistKind.STD_NORMAL:
-        jobs = [(seed, b, count, n, k) for b, count in blocks]
-        parts = _run_blocks(_normal_block, jobs, workers, samples * n**3)
-        sum_x = _kahan_sum([p[0] for p in parts])
-        sum_xx = _kahan_sum([p[1] for p in parts])
+        chunks = map_ranges(_normal_blocks, (seed, samples, n, k), blocks, workers)
+        sum_x = _kahan_sum(x for chunk in chunks for x, _ in chunk)
+        sum_xx = _kahan_sum(xx for chunk in chunks for _, xx in chunk)
         if not (math.isfinite(sum_x) and math.isfinite(sum_xx)):
             raise _float_overflow(k, n)
-        mean = sum_x / samples
-        var = max(sum_xx - samples * mean * mean, 0.0) / (samples - 1)
+        estimate = sum_x / samples
+        var = max(sum_xx - samples * estimate * estimate, 0.0) / (samples - 1)
         se = math.sqrt(var / samples)
-        estimate = mean
     else:
         scale, support = _integer_support(dist, n)
         uniform = len(set(dist.probs)) == 1
         cum = np.cumsum([float(p) for p in dist.probs])
-        # Few enough matrices to take every determinant once.
-        small = len(support) ** (n * n) <= min(BLOCK_SIZE, samples)
         table = _det_table(support, n) if small else None
-        jobs = [
-            (seed, b, count, n, k, support, cum, uniform, table)
-            for b, count in blocks
-        ]
-        work = 0 if small else samples * n**3
-        parts = _run_blocks(_discrete_block, jobs, workers, work)
+        shared = (seed, samples, n, k, support, cum, uniform, table)
+        parts = map_ranges(_discrete_blocks, shared, blocks, workers)
         denom = Fraction(scale) ** (n * k)
         sum_x = Fraction(sum(p[0] for p in parts)) / denom
         sum_xx = Fraction(sum(p[1] for p in parts)) / denom**2
@@ -563,15 +557,3 @@ def _float_overflow(k: int, n: int) -> OverflowError:
         f"the Monte-Carlo sums of det(A)^{k} at n={n} overflow float64; "
         "no finite estimate can be reported"
     )
-
-
-def _run_blocks(fn, jobs: list, workers: int, work: int) -> list:
-    """``fn`` over ``jobs`` in order; pooled only when the ``work`` pays for it.
-
-    A pool starts at most one process per job and per CPU.
-    """
-    workers = min(workers, len(jobs), os.cpu_count() or 1)
-    if workers > 1 and work >= _PARALLEL_THRESHOLD:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, jobs))
-    return [fn(job) for job in jobs]

@@ -48,16 +48,16 @@ odd     p(n) (n!)^(k-1)         q(n) ((n+1) n!)^(k-1)
 
 out of (n!)^k plain and ((n+1) n!)^k marked tables in all.
 
-One block-vectorised kernel enumerates the tables, in the serial and the
-pooled path alike.  A table is a flat mixed-radix index over the options of
-the k rows, and the indices run in blocks of `BLOCK_SIZE`; a pool splits the
-index range.  Column by column, a block gathers the k values of every
-table, sorts them across the rows with a sorting network, and encodes each
-sorted column in k bits: which neighbours are equal, and whether the first
-entry is a mark.  A lookup built by `_weight_key` on one single-column table
-per code maps the code to the column's exponent increment, or to a kill
-(mu_1 = 0); killed tables leave the block at once.  Exponent slots 0..k are
-packed into one int64 key, slot c in just enough bits for the k*n // c
+One block-vectorised kernel enumerates the tables, serially or in a pool.  A
+table is a flat mixed-radix index over the options of the k rows, and the
+indices run in blocks of `BLOCK_SIZE`; `pool.map_ranges` splits their range
+and sends the plan once.  Column by column, a block gathers the k values of
+every table, sorts them across the rows with a sorting network, and encodes
+each sorted column in k bits: which neighbours are equal, and whether the
+first entry is a mark.  A lookup built by `_weight_key` on one single-column
+table per code maps the code to the column's exponent increment, or to a
+kill (mu_1 = 0); killed tables leave the block at once. Exponent slots 0..k
+are packed into one int64 key, slot c in just enough bits for the k*n // c
 groups it can count.  The row signs are summed as integers per distinct
 (key, orbit option), with `np.unique` and `np.add.at`, and each sum is
 multiplied by its orbit option's Python-int weight once at the end: orbit
@@ -67,9 +67,7 @@ the index and the packed key with its orbit option must fit in 63 bits.
 
 from __future__ import annotations
 
-import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from math import factorial, prod
@@ -78,6 +76,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError
+from .pool import map_ranges
 from .poly import Basis, MomentPolynomial
 
 DEFAULT_BUDGET = 10**8
@@ -551,18 +550,14 @@ def _digits(start: int, stop: int, radices: tuple[int, ...]) -> list[np.ndarray]
 
 
 def _accumulate_range(
-    plan: _Plan,
-    lo: int,
-    hi: int,
-    progress: Optional[ProgressFn] = None,
-    total: int = 0,
+    plan: _Plan, lo: int, hi: int, progress: Optional[ProgressFn] = None
 ) -> dict[int, int]:
     """Summed row signs of the tables lo .. hi-1, per (key, orbit option).
 
     The result maps ``key | option << plan.key_bits`` to the sum of the
     signs of the rows other than the orbit axis, over the surviving tables
     with that exponent key and orbit axis option.
-    ``progress`` gets (tables visited, ``total``) after every block.
+    ``progress`` gets (tables visited, ``hi - lo``) after every block.
     """
     acc: dict[int, int] = {}
     for start in range(lo, hi, BLOCK_SIZE):
@@ -590,21 +585,8 @@ def _accumulate_range(
         for group, s in zip(groups.tolist(), sums.tolist()):
             acc[group] = acc.get(group, 0) + s
         if progress:
-            progress(stop - lo, total)
+            progress(stop - lo, hi - lo)
     return acc
-
-
-# The plan of a pool worker process, set once by `_start_worker`.
-_worker_plan: Optional[_Plan] = None
-
-
-def _start_worker(plan: _Plan) -> None:
-    global _worker_plan
-    _worker_plan = plan
-
-
-def _chunk_worker(bounds: tuple[int, int]) -> dict[int, int]:
-    return _accumulate_range(_worker_plan, *bounds)
 
 
 def oracle_moment(
@@ -634,34 +616,19 @@ def oracle_moment(
     _check_kernel_limits(k, n, mode, total)
 
     plan = _plan(k, n, mode)
-    count = prod(plan.radices)
-
-    workers = min(workers, os.cpu_count() or 1)
-    if workers > 1 and count >= _PARALLEL_THRESHOLD:
-        chunks = min(count, 4 * workers)
-        bounds = [(i * count) // chunks for i in range(chunks + 1)]
-        jobs = list(zip(bounds, bounds[1:]))
-        acc: dict[int, int] = {}
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(jobs)),
-            initializer=_start_worker,
-            initargs=(plan,),
-        ) as pool:
-            for (_, hi), part in zip(jobs, pool.map(_chunk_worker, jobs)):
-                for group, s in part.items():
-                    acc[group] = acc.get(group, 0) + s
-                if progress:
-                    progress(hi, total)
+    if workers > 1 and total >= _PARALLEL_THRESHOLD:
+        parts = map_ranges(_accumulate_range, plan, total, workers, progress)
     else:
-        acc = _accumulate_range(plan, 0, count, progress, total)
+        parts = [_accumulate_range(plan, 0, total, progress)]
 
-    # Each (key, orbit option) sum meets the option's weight once: orbit
-    # sizes outgrow int64 (21! > 2**63), the sums of row signs do not.
+    # Each chunk's (key, orbit option) sum meets the option's weight once:
+    # orbit sizes outgrow int64 (21! > 2**63), the sums of row signs do not.
     sums: dict[int, int] = {}
     low = (1 << plan.key_bits) - 1
-    for group, s in acc.items():
-        key = group & low
-        sums[key] = sums.get(key, 0) + s * plan.weights[group >> plan.key_bits]
+    for part in parts:
+        for group, s in part.items():
+            key = group & low
+            sums[key] = sums.get(key, 0) + s * plan.weights[group >> plan.key_bits]
     # An even k pinned the first row to the identity.
     scale = 1 if k % 2 else factorial(n)
     basis = Basis.CENTRAL if mode is TableMode.MARKED else Basis.RAW

@@ -440,6 +440,19 @@ def test_exhaustive_fractional_result(capsys):
     assert out.strip() == "1/8"
 
 
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (("mc", "--values=1/0,1", "--probs=1/2,1/2", "--samples", "100"), "--values"),
+        (("exhaustive", "--values=-1,1", "--probs=1/0,1/2"), "--probs"),
+    ],
+)
+def test_zero_denominators_are_usage_errors(capsys, argv, what):
+    code, out, err = run(capsys, *argv, "--dist", "discrete", "--k", "2", "--n", "2")
+    assert (code, out) == (64, "")
+    assert err.startswith(f"error: could not parse {what}: ")
+
+
 def test_exhaustive_normal_is_usage_error(capsys):
     code, _, err = run(
         capsys, "exhaustive", "--dist", "normal", "--k", "2", "--n", "2",
@@ -526,7 +539,7 @@ def test_mc_refuses_a_sample_count_over_the_default_budget(capsys, monkeypatch):
     def no_sampling(*args):
         raise AssertionError("sampling started")
 
-    monkeypatch.setattr(sampling, "_run_blocks", no_sampling)
+    monkeypatch.setattr(sampling, "map_ranges", no_sampling)
     code, out, err = run(
         capsys, "mc", "--dist", "rademacher", "--k", "2", "--n", "8",
         "--samples", "1000000000", "--workers", "1",
@@ -552,6 +565,24 @@ def test_mc_budget_flag_and_env_var(capsys, monkeypatch):
     assert "over the budget of 999" in err
     # The flag wins over the environment.
     assert run(capsys, *argv, "--budget", "1000")[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("oracle", "--k", "2", "--n", "3", "--workers", "1"),
+        ("mc", "--dist", "rademacher", "--k", "2", "--n", "2", "--samples", "100",
+         "--workers", "1"),
+        ("exhaustive", "--dist", "rademacher", "--k", "2", "--n", "2"),
+    ],
+)
+def test_negative_budgets_are_usage_errors(capsys, monkeypatch, argv):
+    code, out, err = run(capsys, *argv, "--budget", "-1")
+    assert (code, out, err) == (64, "", "error: the budget must be nonnegative, got -1\n")
+    monkeypatch.setenv("DETMOM_BUDGET", "-1")
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (64, "", "error: the budget must be nonnegative, got -1\n")
+    assert run(capsys, *argv, "--budget", "0")[0] == 2
 
 
 def test_mc_normal_overflow_exits_with_message(capsys):

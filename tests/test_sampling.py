@@ -21,7 +21,7 @@ from detmom.formulas import (
     sixth_moment_zero_mean,
 )
 from detmom.poly import MomentPolynomial, central_to_raw
-from detmom import sampling
+from detmom import pool, sampling
 from detmom.sampling import (
     DistKind,
     DistributionSpec,
@@ -363,7 +363,7 @@ def test_mc_budget_refusal_happens_before_any_sampling(monkeypatch):
     def no_sampling(*args):
         raise AssertionError("sampling started")
 
-    monkeypatch.setattr(sampling, "_run_blocks", no_sampling)
+    monkeypatch.setattr(sampling, "map_ranges", no_sampling)
     with pytest.raises(BudgetExceededError) as err:
         mc_estimate(RADEMACHER, 2, 8, samples=10**9)
     assert err.value.required == 10**9
@@ -527,7 +527,7 @@ def pool_starts(monkeypatch):
             starts.append(max_workers)
             super().__init__(max_workers=max_workers, **kwargs)
 
-    monkeypatch.setattr(sampling, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(pool, "ProcessPoolExecutor", RecordingPool)
     return starts
 
 
@@ -577,7 +577,7 @@ def test_mc_pools_only_past_the_break_even(pool_starts):
 def test_mc_pool_starts_no_more_processes_than_blocks(monkeypatch, inline_pool):
     monkeypatch.setattr(sampling, "_PARALLEL_THRESHOLD", 0)
     monkeypatch.setattr("os.cpu_count", lambda: 64)
-    starts = inline_pool(sampling)
+    starts = inline_pool(pool)
     serial = mc_estimate(RADEMACHER, 2, 2, samples=POOLED_SAMPLES, seed=11)
     pooled = mc_estimate(RADEMACHER, 2, 2, samples=POOLED_SAMPLES, seed=11, workers=500)
     # Three blocks, so three processes at most.
@@ -585,11 +585,44 @@ def test_mc_pool_starts_no_more_processes_than_blocks(monkeypatch, inline_pool):
     assert bits(pooled) == bits(serial)
 
 
+def test_mc_pool_sends_the_law_once_and_only_bounds_per_task(monkeypatch):
+    monkeypatch.setattr(sampling, "_PARALLEL_THRESHOLD", 0)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setattr(pool, "_worker_job", None)
+    inits, tasks = [], []
+
+    class RecordingPool(pool.ProcessPoolExecutor):
+        def __init__(self, max_workers, initializer, initargs):
+            inits.append(initargs)
+            super().__init__(max_workers, initializer=initializer, initargs=initargs)
+
+        def map(self, fn, jobs):
+            jobs = list(jobs)
+            tasks.extend(jobs)
+            return super().map(fn, jobs)
+
+    monkeypatch.setattr(pool, "ProcessPoolExecutor", RecordingPool)
+    law = discrete(["-1", "0", "1"], ["1/4", "1/2", "1/4"])
+    samples = 25 * sampling.BLOCK_SIZE + 7
+    serial = mc_estimate(law, 2, 4, samples=samples, seed=5)
+    pooled = mc_estimate(law, 2, 4, samples=samples, seed=5, workers=2)
+    assert bits(pooled) == bits(serial)
+    # 26 blocks in 8 ranges: each task is its two bounds, nothing else.
+    assert len(tasks) == 8
+    assert all(len(t) == 2 and all(type(b) is int for b in t) for t in tasks)
+    assert tasks[0][0] == 0 and tasks[-1][1] == 26
+    assert all(a[1] == b[0] for a, b in zip(tasks, tasks[1:]))
+    # The support and the cumulative probabilities went once, to the pool.
+    [(fn, (*_, support, cum, uniform, table))] = inits
+    assert fn is sampling._discrete_blocks
+    assert len(support) == len(cum) == 3 and not uniform and table is None
+
+
 @pytest.mark.parametrize("cpus, want", [(2, [2]), (1, []), (None, [])])
 def test_mc_pool_starts_no_more_processes_than_cpus(monkeypatch, inline_pool, cpus, want):
     monkeypatch.setattr(sampling, "_PARALLEL_THRESHOLD", 0)
     monkeypatch.setattr("os.cpu_count", lambda: cpus)
-    starts = inline_pool(sampling)
+    starts = inline_pool(pool)
     serial = mc_estimate(RADEMACHER, 2, 2, samples=POOLED_SAMPLES, seed=11)
     pooled = mc_estimate(RADEMACHER, 2, 2, samples=POOLED_SAMPLES, seed=11, workers=500)
     assert starts == want
@@ -639,7 +672,7 @@ def test_determinant_table_matches_the_kernel(monkeypatch, inline_pool, law, poo
         return None
 
     monkeypatch.setattr("os.cpu_count", lambda: 4)
-    starts = inline_pool(sampling)
+    starts = inline_pool(pool)
     workers = 2 if pooled else 1
     if pooled:
         monkeypatch.setattr(sampling, "_PARALLEL_THRESHOLD", 0)

@@ -21,7 +21,7 @@ from detmom.poly import (
     raw_to_central,
 )
 from detmom.formulas import fourth_moment, second_moment, sixth_moment_zero_mean
-from detmom import tables
+from detmom import pool, tables
 from detmom.tables import (
     MarkedRow,
     MarkedTable,
@@ -323,9 +323,9 @@ def test_worker_partitioning_is_deterministic(monkeypatch):
 
 def test_pool_starts_no_more_processes_than_chunks(monkeypatch, inline_pool):
     monkeypatch.setattr(tables, "_PARALLEL_THRESHOLD", 0)
-    monkeypatch.setattr(tables, "_worker_plan", None)
+    monkeypatch.setattr(pool, "_worker_job", None)
     monkeypatch.setattr("os.cpu_count", lambda: 64)
-    starts = inline_pool(tables)
+    starts = inline_pool(pool)
     # p(4) = 5 tables make 5 chunks, whatever the worker count asked for.
     assert oracle_moment(2, 4, workers=500) == second_moment(4)
     assert starts == [5]
@@ -334,9 +334,9 @@ def test_pool_starts_no_more_processes_than_chunks(monkeypatch, inline_pool):
 @pytest.mark.parametrize("cpus, want", [(2, [2]), (1, []), (None, [])])
 def test_pool_starts_no_more_processes_than_cpus(monkeypatch, inline_pool, cpus, want):
     monkeypatch.setattr(tables, "_PARALLEL_THRESHOLD", 0)
-    monkeypatch.setattr(tables, "_worker_plan", None)
+    monkeypatch.setattr(pool, "_worker_job", None)
     monkeypatch.setattr("os.cpu_count", lambda: cpus)
-    starts = inline_pool(tables)
+    starts = inline_pool(pool)
     # p(6) = 11 tables: a pool of 2 takes 8 chunks.
     assert oracle_moment(2, 6, workers=500) == second_moment(6)
     assert starts == want
