@@ -363,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_exhaustive)
 
     p = sub.add_parser("verify", help="cross-check suites")
-    p.add_argument("--suite", choices=tuple(SUITES), default="all")
+    p.add_argument("--suite", choices=SUITES, default="all")
     p.add_argument("--seed", type=int, default=MC_SEED)
     p.add_argument("--samples", type=int, default=MC_SAMPLES)
     add_workers(p)

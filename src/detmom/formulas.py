@@ -144,12 +144,15 @@ def gaussian_sixth_egf(order: int) -> TruncatedEGF:
     specialization of the f-convention with all moment dependence evaluated.
     """
     coeffs = [
-        MomentPolynomial.constant(
-            Fraction((n + 1) * (n + 2) * factorial(n + 4), 48), Basis.RAW
-        )
+        MomentPolynomial.constant(Fraction(_gaussian_sixth(n)), Basis.RAW)
         for n in range(order + 1)
     ]
     return TruncatedEGF(tuple(coeffs), Convention.F_CONVENTION)
+
+
+def _gaussian_sixth(n: int) -> int:
+    """(n+1)(n+2)(n+4)!/48, the t^n coefficient of N_6; an integer."""
+    return (n + 1) * (n + 2) * factorial(n + 4) // 48
 
 
 # -- k = 4 -----------------------------------------------------------------
@@ -308,13 +311,10 @@ def _sixth_moment_zero_mean(n: int, m2, m3, m4, m6):
     m2_cube = _powers(m2**3, n)
     m3_sq = _powers(m3**2, 10)
 
-    def g(i: int) -> int:
-        return (1 + i) * (2 + i) * factorial(4 + i) // 48
-
     H = []
     for r in range(n + 1):
         parts = [  # i = r - b
-            g(r - b) * comb(14 + b + 3 * (r - b), b) * m2_cube[r - b]
+            _gaussian_sixth(r - b) * comb(14 + b + 3 * (r - b), b) * m2_cube[r - b]
             for b in range(r + 1)
         ]
         H.append(_horner(q4, parts))
@@ -338,11 +338,11 @@ def sixth_moment_zero_mean(n: int) -> MomentPolynomial:
         n!^2 sum_{a+b+c+i=n} q_6^a / a! * C(10, c) m_3^(2c)
                              * g(i) C(14+b+3i, b) q_4^b m_2^(3i),
 
-    g(i) = (1+i)(2+i)(4+i)!/48.  It is summed in three one-index steps,
-    H_r = sum_{i+b=r} (...), K_s = sum_c C(10, c) m_3^(2c) H_(s-c) and
-    sum_a n! (n!/a!) q_6^a K_(n-a), with Horner's rule in q_4 and q_6: O(n^2)
-    polynomial products, each by a polynomial of at most four terms, and
-    integer coefficients throughout.
+    g(i) = (1+i)(2+i)(4+i)!/48 (`_gaussian_sixth`).  It is summed in three
+    one-index steps, H_r = sum_{i+b=r} (...), K_s = sum_c C(10, c) m_3^(2c)
+    H_(s-c) and sum_a n! (n!/a!) q_6^a K_(n-a), with Horner's rule in q_4
+    and q_6: O(n^2) polynomial products, each by a polynomial of at most
+    four terms, and integer coefficients throughout.
     """
     _check_weight(6, n)
     return _sixth_moment_zero_mean(n, *(raw_symbol(r) for r in (2, 3, 4, 6)))

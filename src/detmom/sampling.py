@@ -20,17 +20,19 @@ Either way the determinants are exact integers.  Random matrices are
 gathered from the scaled support straight into the kernel's layout
 (`_gather_dets`: `np.take` through the transposed index array).
 
-The exhaustive average enumerates every matrix in blocks of `BLOCK_SIZE`
-index codes, and the discrete Monte-Carlo sums add det^k once per distinct
-determinant of a block, so both are exact rationals; only the final
-estimate is floated.  When a law with s support values has no more than
-`BLOCK_SIZE` (and no more than the sample count) matrices, s^(n^2), the
-Monte-Carlo draw first takes every matrix's determinant once, through the
-same code enumeration as the exhaustive average (`_det_table`); a block
-then only reads its matrices' codes off the drawn indices, looks up their
-determinants and counts them with `np.bincount`.  Standard normal entries
-use floating LU determinants and compensated block summation; a sum that
-overflows float64 raises `OverflowError` instead of reporting ``inf``.
+The exhaustive average runs over sets of n distinct rows, in blocks of
+`BLOCK_SIZE` sets (`_row_sets`), each weighted by n! times its rows'
+probabilities (for odd k and n >= 2 a row swap makes it 0); the discrete
+Monte-Carlo sums add det^k once per distinct determinant of a block.  Both
+are exact rationals; only the final estimate is floated.  When a law with
+s support values has no more than `BLOCK_SIZE` (and no more than the
+sample count) matrices, s^(n^2), the Monte-Carlo draw first takes every
+matrix's determinant once, in the order of `_index_block` codes
+(`_det_table`); a block then only reads its matrices' codes off the drawn
+indices, looks up their determinants and counts them with `np.bincount`.
+Standard normal entries use floating LU determinants and compensated block
+summation; a sum that overflows float64 raises `OverflowError` instead of
+reporting ``inf``.
 
 Reproducibility: samples are drawn in fixed-size blocks from a counter-based
 Philox generator keyed by (seed, block index), and block partials are merged
@@ -47,7 +49,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -247,7 +249,7 @@ def _integer_support(dist: DistributionSpec, n: int) -> tuple[int, np.ndarray]:
     ints.
     """
     scale = math.lcm(*(v.denominator for v in dist.values))
-    scaled = [int(v * scale) for v in dist.values]
+    scaled = [v.numerator * (scale // v.denominator) for v in dist.values]
     top = max(map(abs, scaled))
     if _float_safe(n, top):
         dtype = np.float64
@@ -273,23 +275,39 @@ def _index_block(start: int, count: int, s: int, cells: int) -> np.ndarray:
     return idx
 
 
-def _code_dets(
-    support: np.ndarray, start: int, count: int, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Support indices (count, n*n) and determinants of matrices start .. start+count-1."""
-    idx = _index_block(start, count, len(support), n * n)
-    return idx, _gather_dets(support, idx.reshape(count, n, n))
-
-
 def _det_table(support: np.ndarray, n: int) -> tuple[list[int], np.ndarray]:
     """The distinct determinants of all n x n matrices over ``support``.
 
     Returns them sorted, with, for every matrix code of `_index_block`, the
     position of its determinant among them.
     """
-    _, dets = _code_dets(support, 0, len(support) ** (n * n), n)
-    values, ids = np.unique(dets, return_inverse=True)
+    total = len(support) ** (n * n)
+    idx = _index_block(0, total, len(support), n * n).reshape(total, n, n)
+    values, ids = np.unique(_gather_dets(support, idx), return_inverse=True)
     return values.tolist(), ids.reshape(-1)
+
+
+def _row_sets(codes: int, n: int) -> Iterator[np.ndarray]:
+    """Every set of n distinct codes below ``codes``, in blocks of `BLOCK_SIZE`.
+
+    Each block is (count, n), every set in ascending order.  Set number r
+    is the one with r = C(c_1, 1) + ... + C(c_n, n) for c_1 < ... < c_n
+    (the combinatorial number system), so c_i is read off a table of
+    C(c, i) by binary search, from i = n down.
+    """
+    binoms = np.zeros((n + 1, codes + 1), dtype=np.int64)
+    binoms[0] = 1
+    for i in range(1, n + 1):
+        # binoms[i, c] = C(c, i) = C(0, i-1) + ... + C(c-1, i-1).
+        np.cumsum(binoms[i - 1, :-1], out=binoms[i, 1:])
+    total = math.comb(codes, n)
+    for start in range(0, total, BLOCK_SIZE):
+        rank = np.arange(start, min(start + BLOCK_SIZE, total), dtype=np.int64)
+        out = np.empty((len(rank), n), dtype=np.int64)
+        for i in range(n, 0, -1):
+            c = out[:, i - 1] = np.searchsorted(binoms[i], rank, side="right") - 1
+            rank -= binoms[i, c]
+        yield out
 
 
 def exhaustive_moment(
@@ -300,11 +318,17 @@ def exhaustive_moment(
 ) -> Fraction:
     """E[det(A)^k] as an exact average over all |support|^(n^2) matrices.
 
-    Matrices are enumerated in blocks of `BLOCK_SIZE` and their
-    determinants computed by `_code_dets`.  det^k is summed once per
-    distinct determinant, and for non-uniform probabilities once per
-    distinct (determinant, multiset of support indices), which fixes the
-    matrix's probability.
+    The rows are i.i.d., so the average runs over sets of n distinct rows
+    instead: a repeated row gives det = 0.  For odd k and n >= 2, swapping
+    two rows negates det^k, so the moment is 0 and nothing is computed.
+    Otherwise det^k does not depend on row order, and a set stands for its
+    n! orderings: it weighs n! times the product of its rows'
+    probabilities.  Those are integers over one common denominator D, so
+    the division by D^(n^2) happens once, at the end.  The sets come from
+    `_row_sets` over the rows of `_index_block`, their determinants from
+    `_gather_dets`, and the weights are summed once per distinct
+    determinant.  The budget counts matrices, s^(n^2), and is checked
+    first.
     """
     if not dist.finite:
         raise ValueError("exhaustive averaging needs a finite support")
@@ -318,37 +342,23 @@ def exhaustive_moment(
         raise BudgetExceededError(
             total, budget, f"exhaustive average for n={n}", unit="matrices"
         )
+    if k % 2 and n >= 2:
+        return Fraction(0)
 
     scale, support = _integer_support(dist, n)
-    uniform = len(set(dist.probs)) == 1
-
+    denom = math.lcm(*(p.denominator for p in dist.probs))
+    # All set weights together sum to at most denom^(n^2).
+    dtype = np.int64 if denom**cells < 2**63 else object
+    numer = [p.numerator * (denom // p.denominator) for p in dist.probs]
+    rows = _index_block(0, s**n, s, n)
+    row_weights = np.array(numer, dtype=dtype)[rows].prod(axis=1)
     acc = 0
-    by_multiset: dict[tuple[int, ...], int] = {}
-    for start in range(0, total, BLOCK_SIZE):
-        idx, dets = _code_dets(support, start, min(BLOCK_SIZE, total - start), n)
-        if uniform:
-            values, counts = np.unique(dets, return_counts=True)
-            acc += sum(c * d**k for d, c in zip(values.tolist(), counts.tolist()))
-            continue
-        values, which = np.unique(dets, return_inverse=True)
-        powers = [d**k for d in values.tolist()]
-        keys, counts = np.unique(
-            np.column_stack([which.reshape(-1), np.sort(idx, axis=1)]),
-            axis=0,
-            return_counts=True,
-        )
-        for (w, *multiset), c in zip(keys.tolist(), counts.tolist()):
-            key = tuple(multiset)
-            by_multiset[key] = by_multiset.get(key, 0) + c * powers[w]
-    denom = Fraction(scale) ** (n * k)
-    if uniform:
-        return Fraction(acc, s**cells) / denom
-    weighted = sum(
-        (math.prod((dist.probs[i] for i in key), start=Fraction(1)) * v
-         for key, v in by_multiset.items()),
-        Fraction(0),
-    )
-    return weighted / denom
+    for chosen in _row_sets(s**n, n):
+        dets, which = np.unique(_gather_dets(support, rows[chosen]), return_inverse=True)
+        sums = np.zeros(len(dets), dtype=dtype)
+        np.add.at(sums, which, row_weights[chosen].prod(axis=1))
+        acc += sum(w * d**k for d, w in zip(dets.tolist(), sums.tolist()))
+    return Fraction(math.factorial(n) * acc, denom**cells * scale ** (n * k))
 
 
 # -- symbolic targets ------------------------------------------------------

@@ -50,8 +50,6 @@ from typing import Iterable, Sequence, Union
 from .errors import ConventionMismatchError
 from .poly import Basis, MomentPolynomial, sum_of_products
 
-DEFAULT_TRUNCATION = 16
-
 
 class Convention(Enum):
     PLAIN_EGF = "plain-egf"

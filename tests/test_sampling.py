@@ -359,6 +359,30 @@ def test_exhaustive_budget_refusal():
         exhaustive_moment(RADEMACHER, 2, 4, budget=100)
 
 
+def test_exhaustive_default_budget_counts_matrices():
+    # The budget counts s^(n^2) matrices, not sets of rows: Rademacher n = 5
+    # needs 2^25 and stays refused at the default 10^6.
+    with pytest.raises(BudgetExceededError) as err:
+        exhaustive_moment(RADEMACHER, 2, 5)
+    assert err.value.required == 2**25
+    assert err.value.budget == sampling.DEFAULT_EXHAUSTIVE_BUDGET == 10**6
+
+
+def test_exhaustive_odd_moments_vanish_without_determinants(monkeypatch):
+    # Swapping two i.i.d. rows negates det^k for odd k, so from n = 2 the
+    # moment is 0 and no determinant is taken.
+    def refuse(*args):
+        raise AssertionError("a determinant was computed")
+
+    monkeypatch.setattr(sampling, "_gather_dets", refuse)
+    for dist, _ in EXHAUSTIVE_CASES.values():
+        for k, n in ((1, 2), (3, 2), (5, 3), (3, 4)):
+            if len(dist.values) ** (n * n) <= sampling.DEFAULT_EXHAUSTIVE_BUDGET:
+                assert exhaustive_moment(dist, k, n) == 0, (dist, k, n)
+    with pytest.raises(BudgetExceededError):
+        exhaustive_moment(RADEMACHER, 3, 5)
+
+
 def test_mc_budget_refusal_happens_before_any_sampling(monkeypatch):
     def no_sampling(*args):
         raise AssertionError("sampling started")
@@ -415,6 +439,12 @@ EXHAUSTIVE_CASES = {
     "object": (
         discrete(["-1/1000003", "1/999983"], ["1/3", "2/3"]),
         [(2, 2), (6, 3)],
+    ),
+    # A common denominator of 1000003 puts the weights past int64 even at
+    # n = 2 (1000003^4 > 2^63): the object weight sum.
+    "object-weights": (
+        discrete(["-1", "2"], ["1/1000003", "1000002/1000003"]),
+        [(2, 2), (4, 3)],
     ),
 }
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from detmom import verify
 from detmom.verify import (
     CheckResult,
     VerificationReport,
@@ -34,6 +35,19 @@ def test_montecarlo_suite_is_all_green_at_reduced_size():
 def test_run_suite_rejects_unknown_names():
     with pytest.raises(ValueError):
         run_suite("everything")
+
+
+def test_run_suite_calls_the_module_function(monkeypatch):
+    # A wrapper set on the module (a tracer, say) is the function that runs.
+    calls = []
+
+    def recorder(**kwargs):
+        calls.append(kwargs)
+        return VerificationReport("series", [])
+
+    monkeypatch.setattr(verify, "suite_series", recorder)
+    assert run_suite("series", seed=3).suite == "series"
+    assert calls == [{"workers": 1, "seed": 3, "samples": verify.MC_SAMPLES}]
 
 
 def test_failure_reporting():
