@@ -234,6 +234,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 def _cmd_mc(args: argparse.Namespace) -> int:
     _check_kn(args.k, args.n)
     dist = _build_dist(args)
+    progress = _progress_printer("blocks") if sys.stderr.isatty() else None
     report = mc_estimate(
         dist,
         args.k,
@@ -242,6 +243,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         seed=args.seed,
         workers=args.workers,
         budget=_budget(args),
+        progress=progress,
     )
     if args.format == "json":
         print(json.dumps(report.to_json_dict()))

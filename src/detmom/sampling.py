@@ -37,10 +37,16 @@ reporting ``inf``.
 Reproducibility: samples are drawn in fixed-size blocks from a counter-based
 Philox generator keyed by (seed, block index), and block partials are merged
 in block order, so the result for a given seed is bit-for-bit identical for
-any worker count.  A draw large enough to pay for a pool
-(`_PARALLEL_THRESHOLD`, in samples * n^3; never one through the determinant
-table) hands contiguous ranges of blocks to `pool.map_ranges`, which sends
-the law to each worker once; smaller draws run in this process.
+any worker count.  A block is drawn and its determinants taken in parts of
+about `PART_ENTRIES` matrix entries (`_parts`), by consecutive calls on the
+block's generator, which give the same numbers as one call; the block's
+sums (or `np.unique` counts) then run over all of its determinants.  So
+the memory a worker holds no longer grows with the block's
+BLOCK_SIZE * n^2 entries, and the estimates are those of a whole-block
+draw.  A draw large enough to pay for a pool (`_PARALLEL_THRESHOLD`, in
+samples * n^3; never one through the determinant table) hands contiguous
+ranges of blocks to `pool.map_ranges`, which sends the law to each worker
+once; smaller draws run in this process.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -65,6 +71,12 @@ from .poly import Rational
 from .pool import map_ranges
 
 BLOCK_SIZE = 4096
+# Matrix entries a Monte-Carlo block draws and eliminates at once (`_parts`).
+# A float64 part is 512 KB, so a block's memory no longer grows with its
+# BLOCK_SIZE * n^2 entries (118 MB of normal entries at n = 60).  Drawing a
+# block in consecutive parts from its generator gives the same numbers as
+# one call, so the parts change no estimate.
+PART_ENTRIES = 2**16
 # Monte-Carlo work, in samples * n^3, from which a pool of 2 workers beats the
 # serial draw.  Measured on 2 vCPUs, serial against pooled `mc_estimate`: +-1
 # entries, n = 8, 12,288 samples (6.3M) 35 / 39 ms, 32,768 (16.8M) 90 / 71 ms;
@@ -326,9 +338,10 @@ def exhaustive_moment(
     probabilities.  Those are integers over one common denominator D, so
     the division by D^(n^2) happens once, at the end.  The sets come from
     `_row_sets` over the rows of `_index_block`, their determinants from
-    `_gather_dets`, and the weights are summed once per distinct
-    determinant.  The budget counts matrices, s^(n^2), and is checked
-    first.
+    `_gather_dets`.  The weights are summed per distinct determinant of
+    each block, those sums merged across blocks, and det^k taken once per
+    distinct determinant.  The budget counts matrices, s^(n^2), and is
+    checked first.
     """
     if not dist.finite:
         raise ValueError("exhaustive averaging needs a finite support")
@@ -352,12 +365,22 @@ def exhaustive_moment(
     numer = [p.numerator * (denom // p.denominator) for p in dist.probs]
     rows = _index_block(0, s**n, s, n)
     row_weights = np.array(numer, dtype=dtype)[rows].prod(axis=1)
-    acc = 0
-    for chosen in _row_sets(s**n, n):
-        dets, which = np.unique(_gather_dets(support, rows[chosen]), return_inverse=True)
-        sums = np.zeros(len(dets), dtype=dtype)
-        np.add.at(sums, which, row_weights[chosen].prod(axis=1))
-        acc += sum(w * d**k for d, w in zip(dets.tolist(), sums.tolist()))
+
+    def by_det(dets: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        found, which = np.unique(dets, return_inverse=True)
+        sums = np.zeros(len(found), dtype=dtype)
+        np.add.at(sums, which, weights)
+        return found, sums
+
+    blocks = [
+        by_det(_gather_dets(support, rows[chosen]), row_weights[chosen].prod(axis=1))
+        for chosen in _row_sets(s**n, n)
+    ]
+    if not blocks:
+        # Fewer than n distinct rows: every matrix repeats a row.
+        return Fraction(0)
+    dets, sums = by_det(*(np.concatenate(a) for a in zip(*blocks)))
+    acc = sum(w * d**k for d, w in zip(dets.tolist(), sums.tolist()))
     return Fraction(math.factorial(n) * acc, denom**cells * scale ** (n * k))
 
 
@@ -443,16 +466,28 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _parts(count: int, n: int) -> list[int]:
+    """Sizes of the parts a block of ``count`` n x n matrices is drawn in.
+
+    Each part holds about `PART_ENTRIES` entries, at least one matrix.
+    """
+    step = max(1, PART_ENTRIES // max(n * n, 1))
+    return [min(step, count - lo) for lo in range(0, count, step)]
+
+
 def _normal_blocks(shared: tuple, lo: int, hi: int) -> list[tuple[float, float]]:
     """(sum of det^k, sum of det^2k) of each of the blocks lo .. hi-1."""
     seed, samples, n, k = shared
     out = []
     for b in range(lo, hi):
         count = min(BLOCK_SIZE, samples - b * BLOCK_SIZE)
-        mats = _block_rng(seed, b).standard_normal((count, n, n))
+        g = _block_rng(seed, b)
         # Overflow shows as a non-finite sum, which mc_estimate reports.
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = np.linalg.det(mats) ** k
+            dets = np.concatenate(
+                [np.linalg.det(g.standard_normal((m, n, n))) for m in _parts(count, n)]
+            )
+            vals = dets**k
             out.append((float(np.sum(vals)), float(np.sum(vals * vals))))
     return out
 
@@ -461,24 +496,32 @@ def _discrete_blocks(shared: tuple, lo: int, hi: int) -> tuple[int, int]:
     """Exact sums of det^k and det^2k over the blocks lo .. hi-1, support scaled."""
     seed, samples, n, k, support, cum, uniform, table = shared
     s = len(support)
+    values, ids = table or (None, None)
+    # The matrix code of `_index_block`: entry j is digit n*n-1-j in base s.
+    digits = s ** np.arange(n * n - 1, -1, -1)
+
+    def part(g: np.random.Generator, m: int) -> np.ndarray:
+        """Determinants, or their ids in ``table``, of the next m matrices."""
+        if uniform:
+            idx = g.integers(0, s, size=(m, n, n))
+        else:
+            u = g.random((m, n, n))
+            idx = np.minimum(np.searchsorted(cum, u, side="right"), s - 1)
+        if table is None:
+            return _gather_dets(support, idx)
+        return ids[idx.reshape(m, n * n) @ digits]
+
     sx = 0
     sxx = 0
     for b in range(lo, hi):
         count = min(BLOCK_SIZE, samples - b * BLOCK_SIZE)
         g = _block_rng(seed, b)
-        if uniform:
-            idx = g.integers(0, s, size=(count, n, n))
-        else:
-            u = g.random((count, n, n))
-            idx = np.minimum(np.searchsorted(cum, u, side="right"), s - 1)
+        keys = np.concatenate([part(g, m) for m in _parts(count, n)])
         if table is None:
-            found, counts = np.unique(_gather_dets(support, idx), return_counts=True)
+            found, counts = np.unique(keys, return_counts=True)
             values = found.tolist()
         else:
-            # The matrix code of `_index_block`: entry j is digit n*n-1-j in base s.
-            values, ids = table
-            codes = idx.reshape(count, n * n) @ s ** np.arange(n * n - 1, -1, -1)
-            counts = np.bincount(ids[codes], minlength=len(values))
+            counts = np.bincount(keys, minlength=len(values))
         for d, c in zip(values, counts.tolist()):
             v = d**k
             sx += c * v
@@ -505,11 +548,13 @@ def mc_estimate(
     seed: int = 0,
     workers: int = 1,
     budget: Optional[int] = None,
+    progress: Optional[Callable[[int, int], None]] = None,
 ) -> EstimateReport:
     """Monte-Carlo estimate of E[det(A)^k]; deterministic per seed.
 
     Raises `BudgetExceededError` before drawing anything if ``samples``
-    exceeds ``budget`` (default `DEFAULT_MC_BUDGET`).
+    exceeds ``budget`` (default `DEFAULT_MC_BUDGET`).  ``progress`` gets
+    (blocks done, blocks) after each range of blocks (`pool.map_ranges`).
     """
     if samples < 2:
         raise ValueError("need at least two samples for a standard error")
@@ -527,7 +572,9 @@ def mc_estimate(
     if (0 if small else samples * n**3) < _PARALLEL_THRESHOLD:
         workers = 1
     if dist.kind is DistKind.STD_NORMAL:
-        chunks = map_ranges(_normal_blocks, (seed, samples, n, k), blocks, workers)
+        chunks = map_ranges(
+            _normal_blocks, (seed, samples, n, k), blocks, workers, progress
+        )
         sum_x = _kahan_sum(x for chunk in chunks for x, _ in chunk)
         sum_xx = _kahan_sum(xx for chunk in chunks for _, xx in chunk)
         if not (math.isfinite(sum_x) and math.isfinite(sum_xx)):
@@ -541,7 +588,7 @@ def mc_estimate(
         cum = np.cumsum([float(p) for p in dist.probs])
         table = _det_table(support, n) if small else None
         shared = (seed, samples, n, k, support, cum, uniform, table)
-        parts = map_ranges(_discrete_blocks, shared, blocks, workers)
+        parts = map_ranges(_discrete_blocks, shared, blocks, workers, progress)
         denom = Fraction(scale) ** (n * k)
         sum_x = Fraction(sum(p[0] for p in parts)) / denom
         sum_xx = Fraction(sum(p[1] for p in parts)) / denom**2

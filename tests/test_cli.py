@@ -395,6 +395,20 @@ def test_mc_text_report_shows_exact_target(capsys):
     assert "estimate" in out and "exact      2" in out
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_mc_progress_goes_to_a_tty_stderr_only(capsys, monkeypatch, fmt):
+    # 2 * 4096 + 500 samples: three blocks, each its own range.
+    argv = ("mc", "--dist", "normal", "--k", "2", "--n", "4", "--samples", "8692",
+            "--seed", "3", "--workers", "1", "--format", fmt)
+    code, plain, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    monkeypatch.setattr(sys.stderr, "isatty", lambda: True, raising=False)
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert out == plain
+    assert err == "\r1/3 blocks\r2/3 blocks\r3/3 blocks\n"
+
+
 def test_mc_discrete_needs_values_and_probs(capsys):
     code, _, err = run(
         capsys, "mc", "--dist", "discrete", "--k", "2", "--n", "2",

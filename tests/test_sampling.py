@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import tracemalloc
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -771,6 +772,67 @@ def test_seeded_discrete_estimates_are_pinned(monkeypatch, pool_starts, workers)
         report = mc_estimate(dist, k, n, samples=samples, seed=seed, workers=workers)
         assert (report.estimate, report.std_error) == (estimate, std_error)
     assert pool_starts == ([workers] * 3 if workers > 1 else [])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_seeded_normal_estimates_are_pinned(monkeypatch, pool_starts, workers):
+    # Recorded before the blocks were drawn in parts: the draw and the
+    # per-block sums must not change, serially or pooled.
+    monkeypatch.setattr(sampling, "_PARALLEL_THRESHOLD", 0)
+    for k, n, samples, seed, estimate, std_error in (
+        (2, 8, 9000, 3, 39022.67121817876, 2426.472309438589),
+        (6, 8, POOLED_SAMPLES, 4, 2.228903164764284e18, 1.8299205397005284e18),
+        (2, 60, sampling.BLOCK_SIZE + 7, 1, 5.107039386422067e81, 4.6322483591303775e80),
+    ):
+        report = mc_estimate(NORMAL, k, n, samples=samples, seed=seed, workers=workers)
+        assert (report.estimate, report.std_error) == (estimate, std_error)
+    assert pool_starts == ([workers] * 3 if workers > 1 else [])
+
+
+def test_a_block_is_drawn_in_parts_of_about_part_entries():
+    assert sampling._parts(sampling.BLOCK_SIZE, 8) == [1024] * 4
+    assert sampling._parts(sampling.BLOCK_SIZE, 12) == [455] * 9 + [1]
+    assert sampling._parts(500, 60) == [18] * 27 + [14]
+    for n in range(4):
+        assert sampling._parts(sampling.BLOCK_SIZE, n) == [sampling.BLOCK_SIZE]
+
+
+# (law, k, n, samples, dtype of the scaled support or "table"); the cheap
+# paths draw two blocks, the second one partial.
+PART_CASES = {
+    "normal": (NORMAL, 4, 5, sampling.BLOCK_SIZE + 500, None),
+    "uniform": (RADEMACHER, 4, 6, 1000, np.float64),
+    "non-uniform": (discrete(["-1", "0", "1/2"], ["1/4", "1/2", "1/4"]), 3, 5, 1000,
+                    np.float64),
+    "table": (RADEMACHER, 2, 3, sampling.BLOCK_SIZE + 500, "table"),
+    "int64": (pm([-2, -1, 1, 2]), 2, 11, 300, np.int64),
+    "object": (pm([-(10**6), 1, 10**6]), 2, 4, 300, object),
+}
+
+
+@pytest.mark.parametrize("per_part", [1, 3])
+@pytest.mark.parametrize("case", list(PART_CASES))
+def test_parts_of_a_block_change_no_bits(monkeypatch, case, per_part):
+    dist, k, n, samples, path = PART_CASES[case]
+    if path == "table":
+        assert len(dist.values) ** (n * n) <= sampling.BLOCK_SIZE
+    elif path is not None:
+        assert _integer_support(dist, n)[1].dtype == path
+    whole = mc_estimate(dist, k, n, samples=samples, seed=9)
+    monkeypatch.setattr(sampling, "PART_ENTRIES", per_part * n * n)
+    assert sampling._parts(500, n)[0] == per_part
+    assert bits(mc_estimate(dist, k, n, samples=samples, seed=9)) == bits(whole)
+
+
+def test_a_normal_block_at_n_60_stays_small_in_memory():
+    # A whole block of 4096 normal 60 x 60 matrices is 118 MB of float64.
+    tracemalloc.start()
+    try:
+        mc_estimate(NORMAL, 2, 60, samples=sampling.BLOCK_SIZE, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_normal_overflow_is_an_error_before_the_target(monkeypatch):
