@@ -13,8 +13,9 @@ Subcommands:
 
 Results go to stdout, progress to stderr.  Exit codes: 0 success, 1
 verification failure, 2 budget refusal, 64 usage error or a Monte-Carlo
-sum beyond float64 range.  The environment variable ``DETMOM_BUDGET``
-overrides the default budgets of ``oracle``, ``exhaustive`` and ``mc``.
+sum beyond float64 range, 141 stdout closed early (a pipe into ``head``).
+The environment variable ``DETMOM_BUDGET`` overrides the default budgets
+of ``oracle``, ``exhaustive`` and ``mc``.
 """
 
 from __future__ import annotations
@@ -98,16 +99,21 @@ def _worker_count(text: str) -> int:
     return count
 
 
+def _print_json(data, indent: Optional[int] = None) -> None:
+    # The documents are trees, so the check for reference cycles is skipped.
+    print(json.dumps(data, indent=indent, check_circular=False))
+
+
 def _print_poly(p: MomentPolynomial, fmt: str, min_order: int = DENSE_ORDER) -> None:
     if fmt == "json":
-        print(json.dumps(p.to_json_dict(min_order)))
+        _print_json(p.to_json_dict(min_order))
     else:
         print(p.to_text())
 
 
 def _print_series(s: TruncatedEGF, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(s.to_json_dict()))
+        _print_json(s.to_json_dict())
     else:
         print(s.to_text())
 
@@ -150,7 +156,7 @@ def _cmd_closed(args: argparse.Namespace) -> int:
             raise UsageError("--gaussian needs an even k")
         value = gaussian_det_moment(args.k, args.n)
         if args.format == "json":
-            print(json.dumps({"k": args.k, "n": args.n, "value": str(value)}))
+            _print_json({"k": args.k, "n": args.n, "value": str(value)})
         else:
             print(value)
         return 0
@@ -246,7 +252,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         progress=progress,
     )
     if args.format == "json":
-        print(json.dumps(report.to_json_dict()))
+        _print_json(report.to_json_dict())
     else:
         print(f"estimate   {report.estimate!r}")
         print(f"std_error  {report.std_error!r}")
@@ -264,7 +270,7 @@ def _cmd_exhaustive(args: argparse.Namespace) -> int:
         raise UsageError("exhaustive averaging needs a finite support")
     value = exhaustive_moment(dist, args.k, args.n, budget=_budget(args))
     if args.format == "json":
-        print(json.dumps({"value": str(value)}))
+        _print_json({"value": str(value)})
     else:
         print(value)
     return 0
@@ -275,7 +281,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         args.suite, workers=args.workers, seed=args.seed, samples=args.samples
     )
     if args.format == "json":
-        print(json.dumps(report.to_json_dict(), indent=2))
+        _print_json(report.to_json_dict(), indent=2)
     else:
         for c in report.checks:
             tag = "PASS" if c.passed else "FAIL"
@@ -379,7 +385,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # As the Python docs advise for SIGPIPE: send what is still buffered
+        # to devnull, so the flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 64

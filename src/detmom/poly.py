@@ -19,11 +19,16 @@ Inside, a monomial is one packed integer key, ``sum(exp[s] << (SLOT_BITS * s))``
 (Kronecker substitution), so multiplying two monomials is one integer
 addition, and trailing empty slots add nothing to the key.  A polynomial
 therefore has no width and no capacity: any symbol order is allowed, up to
-the packing limit below.  The dense vectors that `MomentPolynomial.terms`
-and the JSON form write are derived when they are written, and run to slot
-``max(DENSE_ORDER, highest nonzero slot)``.  Comparing keys as integers
-compares exponents from the highest slot down, which gives the canonical
-term order.
+the packing limit below.
+
+Rendering (`MomentPolynomial.to_text`, `MomentPolynomial.to_json_dict` and
+`MomentPolynomial.terms`) reads each key once, in one pass: the key's bytes
+in native order, cast to unsigned 16-bit slots, give its exponent vector at
+C speed, and one dot product with the slot orders its grading weight.  The
+canonical term order is by (weight, key), descending: grading weight first,
+then the key, since comparing keys as integers compares exponents from the
+highest slot down.  The dense vectors that `terms` and the JSON form write
+run to slot ``max(DENSE_ORDER, highest nonzero slot)``.
 
 A key holds only as long as no exponent reaches ``2**SLOT_BITS``; a larger one
 would carry into the next slot.  Every polynomial therefore carries an upper
@@ -49,11 +54,13 @@ checks nothing again.
 from __future__ import annotations
 
 import numbers
+import sys
 from collections import defaultdict
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import getitem, mul
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import BasisMismatchError, MissingMomentError, OrderCapacityError
@@ -90,14 +97,6 @@ def _pack(exp: ExpVector) -> int:
     return key
 
 
-def _unpack(key: int, width: int) -> ExpVector:
-    exp = []
-    for _ in range(width):
-        exp.append(key & _MASK)
-        key >>= SLOT_BITS
-    return tuple(exp)
-
-
 def _key_weight(key: int) -> int:
     weight = key & _MASK
     key >>= 2 * SLOT_BITS  # slot 1 is always empty
@@ -114,11 +113,39 @@ def _top_slot(terms: Terms) -> int:
     return (max((key.bit_length() for key in terms), default=0) - 1) // SLOT_BITS
 
 
-def _sort_key(key: int) -> tuple[int, int]:
-    # Canonical term order: grading weight first, then exponents compared from
-    # the highest-order symbol down, which is the order of the packed keys;
-    # terms are listed in descending key order.
-    return (_key_weight(key), key)
+def _rows(terms: Terms, width: int) -> list[tuple[int, int, list[int], Rational]]:
+    """``(weight, key, exponents, coef)`` per term, in canonical order.
+
+    The exponents are the key's first ``width`` slots, read at C speed: the
+    key's bytes in native order, cast to unsigned 16-bit slots.  The rows
+    are sorted by (weight, key), descending; keys are distinct, so a tie
+    never compares the rest of a row.
+    """
+    size = 2 * width
+    order = sys.byteorder
+    grading = (1, 0, *range(2, width))  # slot 1 is always empty
+    rows = []
+    for key, coef in terms.items():
+        exp = memoryview(key.to_bytes(size, order)).cast("H").tolist()
+        if order == "big":  # the highest slot came first
+            exp.reverse()
+        rows.append((sum(map(mul, exp, grading)), key, exp, coef))
+    rows.sort(reverse=True)
+    return rows
+
+
+class _Factors(dict):
+    """Text of one symbol's power by exponent: "" for 0, the name for 1."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        super().__init__({0: "", 1: name})
+        self.name = name
+
+    def __missing__(self, e: int) -> str:
+        text = self[e] = f"{self.name}^{e}"
+        return text
 
 
 def _check_limit(weight: int) -> None:
@@ -304,20 +331,9 @@ class MomentPolynomial:
 
     def terms(self) -> Iterator[tuple[ExpVector, Fraction]]:
         """Terms in canonical order (descending grading weight, then lex)."""
-        for exp, coef in self._ordered():
-            yield exp, Fraction(coef)
-
-    def _ordered(
-        self, min_order: int = DENSE_ORDER
-    ) -> list[tuple[ExpVector, Rational]]:
-        # `terms` with the stored int or Fraction coefficients, in vectors
-        # that run to slot ``min_order`` at least.
         terms = self._terms
-        width = max(min_order, _top_slot(terms)) + 1
-        return [
-            (_unpack(key, width), terms[key])
-            for key in sorted(terms, key=_sort_key, reverse=True)
-        ]
+        for _, _, exp, coef in _rows(terms, max(DENSE_ORDER, _top_slot(terms)) + 1):
+            yield tuple(exp), Fraction(coef)
 
     def constant_term(self) -> Fraction:
         return Fraction(self._terms.get(0, 0))
@@ -390,6 +406,10 @@ class MomentPolynomial:
         return self._like(_clean(_mul_terms(self._terms, p._terms)), top)
 
     __rmul__ = __mul__
+
+    def _divided(self, divisor: int) -> "MomentPolynomial":
+        """``self / divisor`` for a positive int, one exact division per term."""
+        return self._like({k: _divide(c, divisor) for k, c in self._terms.items()})
 
     def __pow__(self, exponent: int) -> "MomentPolynomial":
         if not isinstance(exponent, int) or exponent < 0:
@@ -480,22 +500,21 @@ class MomentPolynomial:
         """Canonical human-readable form, e.g. ``2*m4^2 - 8*m1^2*m3^2 + 6*m2^4``."""
         if not self._terms:
             return "0"
+        width = _top_slot(self._terms) + 1
+        factors = [_Factors(self._symbol_name(slot)) for slot in range(width)]
         chunks: list[str] = []
-        for i, (exp, coef) in enumerate(self._ordered()):
-            factors = []
-            for slot, e in enumerate(exp):
-                if not e or slot == 1:
-                    continue
-                name = self._symbol_name(slot)
-                factors.append(name if e == 1 else f"{name}^{e}")
-            mag = abs(coef)
-            if mag != 1 or not factors:
-                factors.insert(0, str(mag))
-            body = "*".join(factors)
-            if i == 0:
-                chunks.append(body if coef > 0 else f"-{body}")
+        for _, _, exp, coef in _rows(self._terms, width):
+            body = "*".join(filter(None, map(getitem, factors, exp)))
+            num, den = coef.numerator, coef.denominator
+            mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+            if not body:
+                body = mag
+            elif mag != "1":
+                body = f"{mag}*{body}"
+            if chunks:
+                chunks.append(f"- {body}" if num < 0 else f"+ {body}")
             else:
-                chunks.append(f"+ {body}" if coef > 0 else f"- {body}")
+                chunks.append(f"-{body}" if num < 0 else body)
         return " ".join(chunks)
 
     __str__ = to_text
@@ -512,9 +531,9 @@ class MomentPolynomial:
             "terms": [
                 {
                     "coef": [str(c.numerator), str(c.denominator)],
-                    "exp": list(exp),
+                    "exp": exp,
                 }
-                for exp, c in self._ordered(max_order)
+                for _, _, exp, c in _rows(self._terms, max_order + 1)
             ],
         }
 

@@ -21,16 +21,21 @@ def _run_chunk(bounds: tuple[int, int]) -> Any:
 
 
 def map_ranges(fn, shared, count: int, workers: int, progress=None) -> list:
-    """``fn(shared, lo, hi)`` over ``min(count, 4 * workers)`` contiguous ranges.
+    """``fn(shared, lo, hi)`` over contiguous ranges that cover ``range(count)``.
 
-    The ranges cover ``range(count)``, count >= 1; results come back in
-    index order, and ``progress`` gets (end of the range, ``count``) after
-    each.  A pool has at most one process per range and per CPU; with one,
-    the ranges run in this process.  The pool initializer sends each worker
-    ``fn`` (module-level) and ``shared`` once, so a task is two bounds.
+    ``workers == 1`` gives one range per item, so ``progress`` comes after
+    every item; more give ``min(count, 4 * workers)`` ranges.  count >= 1;
+    results come back in index order, and ``progress`` gets (end of the
+    range, ``count``) after each.  A pool has at most one process per range
+    and per CPU; with one, the ranges run in this process.  The pool
+    initializer sends each worker ``fn`` (module-level) and ``shared`` once,
+    so a task is two bounds.
     """
+    # Decided by the workers asked for, before the CPU cap: a pooled oracle
+    # counts tables, too many to run one at a time, even on one CPU.
+    serial = workers == 1
     workers = max(1, min(workers, count, os.cpu_count() or 1))
-    chunks = min(count, 4 * workers)
+    chunks = count if serial else min(count, 4 * workers)
     bounds = [(i * count) // chunks for i in range(chunks + 1)]
     ranges = list(zip(bounds, bounds[1:]))
 

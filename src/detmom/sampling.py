@@ -554,7 +554,8 @@ def mc_estimate(
 
     Raises `BudgetExceededError` before drawing anything if ``samples``
     exceeds ``budget`` (default `DEFAULT_MC_BUDGET`).  ``progress`` gets
-    (blocks done, blocks) after each range of blocks (`pool.map_ranges`).
+    (blocks done, blocks) after every block of a serial draw, and after each
+    range of blocks of a pooled one (`pool.map_ranges`).
     """
     if samples < 2:
         raise ValueError("need at least two samples for a standard error")

@@ -23,7 +23,9 @@ product of exponential generating functions is a binomial convolution of the
 scaled sequences, so the series that the formulas factor (and every series
 with integral scaled coefficients) stay in Python ints where a_n would be
 `Fraction`s (Flajolet & Sedgewick, *Analytic Combinatorics*, ch. II).  The
-plain coefficients `TruncatedEGF.coeffs` are derived, once, when asked for.
+plain coefficients `TruncatedEGF.coeffs` are derived, once, when asked for:
+a_n = s_n / n!, one exact division of each term of s_n by the int n!, which
+stays an int where it divides and becomes a `Fraction` only where not.
 With A the scaled input and every sum over j = 1..d:
 
 * product        (ab)_d = sum_{i=0..d} C(d, i) a_i b_{d-i};
@@ -100,8 +102,7 @@ class TruncatedEGF:
         """The plain coefficients a_n = s_n / n!, derived on first use."""
         if self._coeffs is None:
             self._coeffs = tuple(
-                s if n < 2 else s * Fraction(1, factorial(n))
-                for n, s in enumerate(self._s)
+                s if n < 2 else s._divided(factorial(n)) for n, s in enumerate(self._s)
             )
         return self._coeffs
 

@@ -5,12 +5,15 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import detmom
 from detmom.cli import main
 from detmom.errors import _count_text
 from detmom.poly import Basis, MomentPolynomial
@@ -280,12 +283,69 @@ SERIES_OUTPUT_SHA256 = {
 @pytest.mark.parametrize("name, commands", list(_series_cases()),
                          ids=[name for name, _ in _series_cases()])
 def test_series_output_is_pinned(capsys, name, commands):
+    assert _stdout_sha256(capsys, commands) == SERIES_OUTPUT_SHA256[name]
+
+
+def _stdout_sha256(capsys, commands) -> str:
+    """sha256 of the concatenated stdout of commands that must exit 0 silently."""
     digest = hashlib.sha256()
     for argv in commands:
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, ""), argv
         digest.update(out.encode())
-    assert digest.hexdigest() == SERIES_OUTPUT_SHA256[name]
+    return digest.hexdigest()
+
+
+def _rendering_cases():
+    for fmt in ("text", "json"):
+        for k in ("2", "4"):
+            for basis in ("raw", "central"):
+                yield f"closed-k{k}-{basis}-{fmt}", [
+                    ["closed", "--k", k, "--n", str(n), "--basis", basis, "--format", fmt]
+                    for n in range(13)
+                ]
+        yield f"closed-k6-{fmt}", [
+            ["closed", "--k", "6", "--n", str(n), "--central-only", "--format", fmt]
+            for n in range(13)
+        ]
+        for mode in ("plain", "marked"):
+            yield f"oracle-{mode}-{fmt}", [
+                ["oracle", "--k", str(k), "--n", str(n), "--mode", mode,
+                 "--workers", "1", "--format", fmt]
+                for k in range(1, 5) for n in range(4)
+            ]
+        yield f"verify-{fmt}", [
+            ["verify", "--suite", "all", "--seed", "7", "--workers", "1", "--format", fmt]
+        ]
+
+
+# sha256 of the concatenated stdout of each group: closed k=2 and 4 at
+# n=0..12 in each basis, closed k=6 centred at n=0..12, the oracle at
+# k=1..4 and n=0..3 in each mode, and verify --suite all at seed 7.
+RENDERING_OUTPUT_SHA256 = {
+    "closed-k2-raw-text": "b2eff9d4256834ad33f0928a5c5537e357226e286e2ad5eb7272cc88104f7f0e",
+    "closed-k2-central-text": "474f730d7fd03a7c87fcba569298acc678e6d6f1786629c44ef2d4f8819537f6",
+    "closed-k4-raw-text": "338f7ff80ca1e24fe17b71649745605cd0b0773f8e39cbb2edf21b50a5eb4e94",
+    "closed-k4-central-text": "7c9acc68ffcb1da3b960d3908fe54ea35102bea803c9afabc139abdd209655e8",
+    "closed-k6-text": "382ca32c2a27a5feaa6490ef688aca2b80e40db6507fa15f2a0eb05d75acde85",
+    "oracle-plain-text": "03b9b74618136a79020114b0310f18254b70e2519a60f8b80db0be49501b1cf7",
+    "oracle-marked-text": "80578c479bcde3d824609d666f5c0d5fbc668da956fb965bba589f63a4d0045d",
+    "verify-text": "6d0c6bab81e1955072faeb3755d50734ad79557c84b2cdfea5ddc2b4c66cff90",
+    "closed-k2-raw-json": "74e776409521df10ff9cd96a1b31d48af4f16cffac4898eea3c1aabfc2524634",
+    "closed-k2-central-json": "cdd121d02f100b3ec649fe39835131075279815c3b13a424932be0d24d041519",
+    "closed-k4-raw-json": "293cbcfeb40b6ebcab0f72f0e6c3b04798f264dacdbf446530fd6b156e40b443",
+    "closed-k4-central-json": "ee2198271547874fa549d48552d152d807a24ee4f6cb3a359a55edb66174ecfd",
+    "closed-k6-json": "3df3d5e3c8d578fbdab778efae6a650964bfcf237616aa5ce2cab5f938cdb612",
+    "oracle-plain-json": "3119616c2c9f5f021fa2007eb18514581938b2fea046e83003cbaf0ab046de85",
+    "oracle-marked-json": "a9ac4517e2f4a6390c29054cf9176f51296a3a4a93b24cb241a048dfc56f44f1",
+    "verify-json": "eb9b4ae1cb7133bb0f888d63e1313b67ada4aa9db3839a7c570212efb019f151",
+}
+
+
+@pytest.mark.parametrize("name, commands", list(_rendering_cases()),
+                         ids=[name for name, _ in _rendering_cases()])
+def test_rendered_output_is_pinned(capsys, name, commands):
+    assert _stdout_sha256(capsys, commands) == RENDERING_OUTPUT_SHA256[name]
 
 
 # -- oracle ----------------------------------------------------------------
@@ -499,6 +559,29 @@ def test_verify_json_shape(capsys):
 
 
 # -- argument plumbing -----------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["closed", "--k", "2", "--n", "2"],
+    ["closed", "--k", "4", "--n", "12", "--format", "json"],
+    ["verify", "--suite", "all", "--workers", "1"],
+    ["verify", "--suite", "all", "--workers", "1", "--format", "json"],
+], ids=["small", "large", "verify-text", "verify-json"])
+def test_a_closed_stdout_pipe_exits_141_quietly(argv):
+    # stdout is a pipe whose read end is closed before the child starts, as
+    # after `| head` has read what it wanted.
+    src = Path(detmom.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "detmom", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert b"Traceback" not in proc.stderr
+    assert proc.returncode == 141
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

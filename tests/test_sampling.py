@@ -580,6 +580,13 @@ def test_mc_is_reproducible_and_worker_independent(monkeypatch, pool_starts):
     assert bits(a) == bits(b) == bits(c)
 
 
+def test_a_serial_draw_reports_progress_after_every_block():
+    seen = []
+    mc_estimate(RADEMACHER, 2, 3, samples=100 * sampling.BLOCK_SIZE, seed=0,
+                workers=1, progress=lambda done, total: seen.append((done, total)))
+    assert seen == [(b, 100) for b in range(1, 101)]
+
+
 def test_mc_seed_changes_the_draw():
     a = mc_estimate(RADEMACHER, 2, 3, samples=2000, seed=0)
     b = mc_estimate(RADEMACHER, 2, 3, samples=2000, seed=1)
