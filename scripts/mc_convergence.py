@@ -12,34 +12,18 @@ Example:
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass
 
-from detmom.cli import UsageError, _build_dist, _worker_count
-from detmom.sampling import DistributionSpec, mc_estimate
-
-
-@dataclass
-class ConvergenceConfig:
-    dist: DistributionSpec
-    k: int
-    n: int
-    seed: int = 0
-    start: int = 1000
-    rounds: int = 8
-    workers: int = 1
+from detmom.cli import _build_dist, _worker_count
+from detmom.sampling import mc_estimate
 
 
-def run(config: ConvergenceConfig) -> None:
+def run(args: argparse.Namespace) -> None:
     print(f"{'samples':>10}  {'estimate':>14}  {'std error':>12}  {'z':>8}")
-    samples = config.start
-    for _ in range(config.rounds):
+    samples = args.start
+    for _ in range(args.rounds):
         report = mc_estimate(
-            config.dist,
-            config.k,
-            config.n,
-            samples=samples,
-            seed=config.seed,
-            workers=config.workers,
+            args.dist, args.k, args.n,
+            samples=samples, seed=args.seed, workers=args.workers,
         )
         if report.exact_target is None or report.std_error == 0:
             z = "-"
@@ -55,7 +39,7 @@ def run(config: ConvergenceConfig) -> None:
         print(f"exact target: {report.exact_target}")
 
 
-def parse_args() -> ConvergenceConfig:
+def parse_args() -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--dist", choices=("rademacher", "normal", "discrete"),
                         default="rademacher")
@@ -69,13 +53,10 @@ def parse_args() -> ConvergenceConfig:
     parser.add_argument("--workers", type=_worker_count, default=1)
     args = parser.parse_args()
     try:
-        dist = _build_dist(args)
-    except UsageError as exc:
+        args.dist = _build_dist(args)
+    except ValueError as exc:
         parser.error(str(exc))
-    return ConvergenceConfig(
-        dist=dist, k=args.k, n=args.n, seed=args.seed,
-        start=args.start, rounds=args.rounds, workers=args.workers,
-    )
+    return args
 
 
 if __name__ == "__main__":

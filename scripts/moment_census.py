@@ -9,29 +9,23 @@ Example:
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass
 
-from detmom.cli import UsageError, _build_dist
+from detmom.cli import _build_dist
 from detmom.formulas import gaussian_det_moment
-from detmom.sampling import DistributionSpec, exact_moment_target
+from detmom.sampling import exact_moment_target
+
+POWERS = (2, 4, 6)
 
 
-@dataclass
-class CensusConfig:
-    dist: DistributionSpec
-    max_n: int
-    powers: tuple[int, ...] = (2, 4, 6)
-
-
-def run(config: CensusConfig) -> None:
+def run(args: argparse.Namespace) -> None:
     header = f"{'n':>3}"
-    for k in config.powers:
+    for k in POWERS:
         header += f"  {'E[det^%d]' % k:>18}  {'Gaussian':>14}  {'ratio':>10}"
     print(header)
-    for n in range(config.max_n + 1):
+    for n in range(args.max_n + 1):
         line = f"{n:>3}"
-        for k in config.powers:
-            value = exact_moment_target(config.dist, k, n)
+        for k in POWERS:
+            value = exact_moment_target(args.dist, k, n)
             gauss = gaussian_det_moment(k, n) if k % 2 == 0 else None
             if value is None:
                 line += f"  {'-':>18}  {str(gauss):>14}  {'-':>10}"
@@ -41,7 +35,7 @@ def run(config: CensusConfig) -> None:
         print(line)
 
 
-def parse_args() -> CensusConfig:
+def parse_args() -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-n", type=int, default=8)
     parser.add_argument("--values", default=None,
@@ -51,10 +45,10 @@ def parse_args() -> CensusConfig:
     args = parser.parse_args()
     args.dist = "rademacher" if args.values is None else "discrete"
     try:
-        dist = _build_dist(args)
-    except UsageError as exc:
+        args.dist = _build_dist(args)
+    except ValueError as exc:
         parser.error(str(exc))
-    return CensusConfig(dist=dist, max_n=args.max_n)
+    return args
 
 
 if __name__ == "__main__":

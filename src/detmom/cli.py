@@ -54,7 +54,7 @@ from .verify import MC_SAMPLES, MC_SEED, SUITES, run_suite
 MAX_SERIES_ORDER = 64
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -104,18 +104,11 @@ def _print_json(data, indent: Optional[int] = None) -> None:
     print(json.dumps(data, indent=indent, check_circular=False))
 
 
-def _print_poly(p: MomentPolynomial, fmt: str, min_order: int = DENSE_ORDER) -> None:
+def _print(result: MomentPolynomial | TruncatedEGF, fmt: str, *json_args) -> None:
     if fmt == "json":
-        _print_json(p.to_json_dict(min_order))
+        _print_json(result.to_json_dict(*json_args))
     else:
-        print(p.to_text())
-
-
-def _print_series(s: TruncatedEGF, fmt: str) -> None:
-    if fmt == "json":
-        _print_json(s.to_json_dict())
-    else:
-        print(s.to_text())
+        print(result.to_text())
 
 
 def _convert_basis(p: MomentPolynomial, target: Optional[str]) -> MomentPolynomial:
@@ -143,10 +136,7 @@ def _build_dist(args: argparse.Namespace) -> DistributionSpec:
         raise UsageError("--dist discrete needs --values and --probs")
     values = _parse_fractions(args.values, "--values")
     probs = _parse_fractions(args.probs, "--probs")
-    try:
-        return DistributionSpec.discrete(values, probs)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return DistributionSpec.discrete(values, probs)
 
 
 def _cmd_closed(args: argparse.Namespace) -> int:
@@ -176,7 +166,7 @@ def _cmd_closed(args: argparse.Namespace) -> int:
             "no closed form for k={}; supported: k=2, k=4, k=6 --central-only, "
             "or --gaussian for any even k".format(args.k)
         )
-    _print_poly(_convert_basis(p, args.basis), args.format)
+    _print(_convert_basis(p, args.basis), args.format)
     return 0
 
 
@@ -206,7 +196,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
         s = gaussian_sixth_egf(args.order)
     else:
         s = mark_class_egf(MarkClass(which), args.order)
-    _print_series(s, args.format)
+    _print(s, args.format)
     return 0
 
 
@@ -233,7 +223,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     )
     # The JSON vectors hold a slot for every column weight up to k, even
     # where no term uses it.
-    _print_poly(p, args.format, max(DENSE_ORDER, args.k))
+    _print(p, args.format, max(DENSE_ORDER, args.k))
     return 0
 
 
@@ -265,10 +255,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
 
 def _cmd_exhaustive(args: argparse.Namespace) -> int:
     _check_kn(args.k, args.n)
-    dist = _build_dist(args)
-    if not dist.finite:
-        raise UsageError("exhaustive averaging needs a finite support")
-    value = exhaustive_moment(dist, args.k, args.n, budget=_budget(args))
+    value = exhaustive_moment(_build_dist(args), args.k, args.n, budget=_budget(args))
     if args.format == "json":
         _print_json({"value": str(value)})
     else:
@@ -394,9 +381,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 141
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 64
     except BudgetExceededError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2

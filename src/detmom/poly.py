@@ -171,7 +171,7 @@ def _rational(value: Rational) -> Rational:
         return value
     if isinstance(value, numbers.Real) and not isinstance(value, numbers.Rational):
         raise TypeError(
-            f"moment polynomials are exact; got the inexact {type(value).__name__} "
+            f"detmom computes exactly; got the inexact {type(value).__name__} "
             f"{value!r} (pass an int or a Fraction)"
         )
     return _exact(Fraction(value))
@@ -205,6 +205,17 @@ def _divide(c: Rational, divisor: int) -> Rational:
         q, r = divmod(c, divisor)
         return q if not r else Fraction(c, divisor)
     return _exact(c / divisor)
+
+
+def _power(base, exponent: int, one):
+    """``base ** exponent`` by repeated squaring, from the unit ``one``."""
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        base = base * base if exponent > 1 else base
+        exponent >>= 1
+    return result
 
 
 def sum_of_products(
@@ -415,15 +426,7 @@ class MomentPolynomial:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers need a nonnegative integer exponent")
         _check_limit(self._top * exponent)
-        result = MomentPolynomial.constant(1, self._basis)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return _power(self, exponent, MomentPolynomial.constant(1, self._basis))
 
     # -- structure ---------------------------------------------------------
 

@@ -67,7 +67,7 @@ from .formulas import (
     gaussian_det_moment,
     gaussian_moment_table,
 )
-from .poly import Rational
+from .poly import Rational, _central_in_raw, _rational
 from .pool import map_ranges
 
 BLOCK_SIZE = 4096
@@ -99,7 +99,11 @@ class DistKind(Enum):
 
 @dataclass(frozen=True)
 class DistributionSpec:
-    """An entry distribution: signed Bernoulli, standard normal, or finite."""
+    """An entry distribution: signed Bernoulli, standard normal, or finite.
+
+    Support values and probabilities are stored as `Fraction`s; an inexact
+    real (a float) raises TypeError.
+    """
 
     kind: DistKind
     values: tuple[Fraction, ...] = ()
@@ -110,6 +114,9 @@ class DistributionSpec:
             if self.values or self.probs:
                 raise ValueError("the normal distribution takes no support")
             return
+        for name in ("values", "probs"):
+            exact = tuple(Fraction(_rational(x)) for x in getattr(self, name))
+            object.__setattr__(self, name, exact)
         if len(self.values) != len(self.probs) or not self.values:
             raise ValueError("values and probs must be equal-length and nonempty")
         if any(p < 0 for p in self.probs):
@@ -132,11 +139,7 @@ class DistributionSpec:
     def discrete(
         cls, values: Sequence[Rational], probs: Sequence[Rational]
     ) -> "DistributionSpec":
-        return cls(
-            DistKind.DISCRETE,
-            tuple(Fraction(v) for v in values),
-            tuple(Fraction(p) for p in probs),
-        )
+        return cls(DistKind.DISCRETE, tuple(values), tuple(probs))
 
     @property
     def finite(self) -> bool:
@@ -161,7 +164,7 @@ def exact_det(rows: Sequence[Sequence[Rational]]) -> Fraction:
     n = len(rows)
     if n == 0:
         return Fraction(1)
-    fracs = [[Fraction(x) for x in row] for row in rows]
+    fracs = [[Fraction(_rational(x)) for x in row] for row in rows]
     scale = math.lcm(*(x.denominator for row in fracs for x in row))
     ints = np.array([[int(x * scale) for x in row] for row in fracs], dtype=object)
     return Fraction(int(_batch_int_det(ints.reshape(1, n, n))[0]), scale**n)
@@ -395,9 +398,11 @@ def exact_moment_target(dist: DistributionSpec, k: int, n: int) -> Optional[Frac
     moments beyond k = 1 have no known closed form).  Standard normal
     entries with an even k take the Gaussian product form.  The other laws
     run the closed forms of `detmom.formulas` on the law's exact moments
-    (central ones for k = 4), so no polynomial is built: O(n^2) rational
-    operations.  On one core of a Xeon, k = 6 takes about 0.1 s at n = 100
-    and 0.3 s at n = 200, and k = 4 about 0.02 s at n = 100.
+    (central ones for k = 4, from the small cached expansions of
+    `detmom.poly._central_in_raw`), so the polynomial E[det^k] is never
+    built: O(n^2) rational operations.  On one core of a Xeon, k = 6 takes
+    about 0.1 s at n = 100 and 0.3 s at n = 200, and k = 4 about 0.02 s at
+    n = 100.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -412,14 +417,8 @@ def exact_moment_target(dist: DistributionSpec, k: int, n: int) -> Optional[Frac
     if k == 2:
         return _second_moment(n, mean, m[2])
     if k == 4:
-        # mu_r = sum_j C(r, j) m_j (-m_1)^(r-j), with m_0 = 1.
-        mu = {
-            r: sum(
-                math.comb(r, j) * m.get(j, 1) * (-mean) ** (r - j) for j in range(r + 1)
-            )
-            for r in (2, 3, 4)
-        }
-        return _fourth_moment(n, mean, mu[2], mu[3], mu[4])
+        mu = [_central_in_raw(r).evaluate(m, mean) for r in (2, 3, 4)]
+        return _fourth_moment(n, mean, *mu)
     if k == 6 and mean == 0:
         return _sixth_moment_zero_mean(n, m[2], m[3], m[4], m[6])
     return None
@@ -475,18 +474,31 @@ def _parts(count: int, n: int) -> list[int]:
     return [min(step, count - lo) for lo in range(0, count, step)]
 
 
-def _normal_blocks(shared: tuple, lo: int, hi: int) -> list[tuple[float, float]]:
-    """(sum of det^k, sum of det^2k) of each of the blocks lo .. hi-1."""
-    seed, samples, n, k = shared
-    out = []
+def _block_draws(
+    seed: int, samples: int, n: int, lo: int, hi: int,
+    part: Callable[[np.random.Generator, int], np.ndarray],
+) -> Iterator[np.ndarray]:
+    """``part(g, m)`` over each of the blocks lo .. hi-1, joined per block.
+
+    Block b's generator is `_block_rng` (seed, b); `_parts` sizes its calls.
+    """
     for b in range(lo, hi):
         count = min(BLOCK_SIZE, samples - b * BLOCK_SIZE)
         g = _block_rng(seed, b)
-        # Overflow shows as a non-finite sum, which mc_estimate reports.
-        with np.errstate(over="ignore", invalid="ignore"):
-            dets = np.concatenate(
-                [np.linalg.det(g.standard_normal((m, n, n))) for m in _parts(count, n)]
-            )
+        yield np.concatenate([part(g, m) for m in _parts(count, n)])
+
+
+def _normal_blocks(shared: tuple, lo: int, hi: int) -> list[tuple[float, float]]:
+    """(sum of det^k, sum of det^2k) of each of the blocks lo .. hi-1."""
+    seed, samples, n, k = shared
+
+    def part(g: np.random.Generator, m: int) -> np.ndarray:
+        return np.linalg.det(g.standard_normal((m, n, n)))
+
+    out = []
+    # Overflow shows as a non-finite sum, which mc_estimate reports.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for dets in _block_draws(seed, samples, n, lo, hi, part):
             vals = dets**k
             out.append((float(np.sum(vals)), float(np.sum(vals * vals))))
     return out
@@ -513,10 +525,7 @@ def _discrete_blocks(shared: tuple, lo: int, hi: int) -> tuple[int, int]:
 
     sx = 0
     sxx = 0
-    for b in range(lo, hi):
-        count = min(BLOCK_SIZE, samples - b * BLOCK_SIZE)
-        g = _block_rng(seed, b)
-        keys = np.concatenate([part(g, m) for m in _parts(count, n)])
+    for keys in _block_draws(seed, samples, n, lo, hi, part):
         if table is None:
             found, counts = np.unique(keys, return_counts=True)
             values = found.tolist()

@@ -50,7 +50,7 @@ from math import comb, factorial
 from typing import Iterable, Sequence, Union
 
 from .errors import ConventionMismatchError
-from .poly import Basis, MomentPolynomial, sum_of_products
+from .poly import Basis, MomentPolynomial, _power, sum_of_products
 
 
 class Convention(Enum):
@@ -184,15 +184,8 @@ class TruncatedEGF:
         """Integer power by repeated squaring; works for any constant term."""
         if exponent < 0:
             raise ValueError("series powers need a nonnegative exponent")
-        result = self._like((self._one_poly(),) + (self._zero_poly(),) * self.order)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        one = self._like((self._one_poly(),) + (self._zero_poly(),) * self.order)
+        return _power(self, exponent, one)
 
     # -- species constructions (zero constant term required) ---------------
 

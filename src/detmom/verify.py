@@ -357,7 +357,11 @@ def suite_montecarlo(
                 report.exact_target == target and report.within(MC_SIGMAS),
             )
         )
-    # The first case's draw, with ``workers``, against one serial draw.
+    # The first case's draw, with ``workers``, against one serial draw.  A
+    # +-1 draw at n = 3 goes through the determinant table, which never
+    # pools, so both draws are serial: this guards seed determinism, not
+    # independence from the worker count (tests/test_sampling.py and the
+    # pooled-vs-serial `mc` diff in CI cover that).
     checks.append(
         _value_check(
             "MC reproducibility at fixed seed",

@@ -14,9 +14,11 @@ from pathlib import Path
 import pytest
 
 import detmom
+from detmom import verify
 from detmom.cli import main
 from detmom.errors import _count_text
 from detmom.poly import Basis, MomentPolynomial
+from detmom.series import Convention, polynomial_in_t
 
 
 def run(capsys, *argv):
@@ -153,6 +155,12 @@ WIRE = [
         '{"coef": ["220", "1"], "exp": [9, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0]}, '
         '{"coef": ["66", "1"], "exp": [10, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]}, '
         '{"coef": ["1", "1"], "exp": [12, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]}]}',
+    ),
+    (("closed", "--gaussian", "--k", "4", "--n", "3"), '{"k": 4, "n": 3, "value": "360"}'),
+    (
+        ("exhaustive", "--dist", "discrete", "--values=-1,0,2", "--probs=1/2,1/3,1/6",
+         "--k", "4", "--n", "3"),
+        '{"value": "83514167/139968"}',
     ),
 ]
 
@@ -535,6 +543,34 @@ def test_exhaustive_normal_is_usage_error(capsys):
     assert "finite" in err
 
 
+# Each usage error is one line on stderr, with exit 64 and nothing on stdout.
+USAGE_ERRORS = [
+    (("exhaustive", "--dist", "normal", "--k", "2", "--n", "2"),
+     "exhaustive averaging needs a finite support"),
+    (("closed", "--k", "3", "--n", "2"),
+     "no closed form for k=3; supported: k=2, k=4, k=6 --central-only, "
+     "or --gaussian for any even k"),
+    (("mc", "--dist", "discrete", "--values=1/0", "--probs=1", "--k", "2", "--n", "2"),
+     "could not parse --values: Fraction(1, 0)"),
+    (("exhaustive", "--dist", "discrete", "--values=1,2", "--probs=1/2,1/3",
+      "--k", "2", "--n", "2"),
+     "probabilities must sum to one exactly"),
+    (("verify", "--suite", "nope"),
+     "argument --suite: invalid choice: 'nope' "
+     "(choose from 'small', 'series', 'montecarlo', 'all')"),
+    (("oracle", "--k", "2", "--n", "2", "--workers", "0"),
+     "argument --workers: must be an integer from 1 to 2, got '0'"),
+    ((), "the following arguments are required: command"),
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS,
+                         ids=[" ".join(a) or "no-command" for a, _ in USAGE_ERRORS])
+def test_usage_errors_print_one_pinned_line(capsys, monkeypatch, argv, message):
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    assert run(capsys, *argv) == (64, "", f"error: {message}\n")
+
+
 # -- verify ----------------------------------------------------------------
 
 
@@ -544,6 +580,33 @@ def test_verify_series_suite_passes(capsys):
     lines = out.strip().splitlines()
     assert all(line.startswith("PASS") for line in lines)
     assert "suite=series" in lines[-1]
+
+
+def test_verify_reports_the_first_failing_identity(capsys, monkeypatch):
+    def series(*coeffs):
+        return polynomial_in_t(list(coeffs), 3, Convention.PLAIN_EGF, basis=Basis.RAW)
+
+    def suite(**kwargs):
+        return verify.VerificationReport("series", [
+            verify._series_check("ones", series(1, 1), series(1, 1)),
+            verify._series_check("squares", series(1, 2, 4), series(1, 2, 5)),
+        ])
+
+    monkeypatch.setattr(verify, "suite_series", suite)
+    code, out, err = run(capsys, "verify", "--suite", "series")
+    assert code == 1
+    assert out == "PASS ones\nFAIL squares[t^2]\nFAIL suite=series (1/2 checks)\n"
+    assert err == "first failing identity: squares[t^2]\n  expected: 4\n  got:      5\n"
+    code, out, err = run(capsys, "verify", "--suite", "series", "--format", "json")
+    assert code == 1
+    assert err.startswith("first failing identity: squares[t^2]\n")
+    data = json.loads(out)
+    assert data["pass"] is False
+    assert data["checks"] == [
+        {"name": "ones", "expected": "agree to order 3", "got": "agree to order 3",
+         "pass": True},
+        {"name": "squares[t^2]", "expected": "4", "got": "5", "pass": False},
+    ]
 
 
 def test_verify_json_shape(capsys):

@@ -89,6 +89,30 @@ def test_values_must_be_distinct():
         DistributionSpec.discrete([1, 1], [Fraction(1, 2), Fraction(1, 2)])
 
 
+@pytest.mark.parametrize("inexact", [0.1, 1.0, np.float64(0.5)])
+def test_inexact_reals_are_refused(inexact):
+    half = Fraction(1, 2)
+    for values, probs in (([inexact, 2], [half, half]), ([1, 2], [inexact, half])):
+        with pytest.raises(TypeError, match="inexact"):
+            DistributionSpec.discrete(values, probs)
+        with pytest.raises(TypeError, match="inexact"):
+            DistributionSpec(DistKind.DISCRETE, tuple(values), tuple(probs))
+    with pytest.raises(TypeError, match="inexact"):
+        exact_det([[1, 2], [3, inexact]])
+
+
+def test_ints_numpy_ints_and_fractions_stay_exact():
+    law = DistributionSpec.discrete([np.int64(-1), 0, Fraction(1, 2)],
+                                    [np.int32(0), 1, Fraction(0)])
+    assert law.values == (-1, 0, Fraction(1, 2))
+    assert all(type(x) is Fraction for x in law.values + law.probs)
+    assert exact_det([[np.int64(2), 1], [Fraction(1, 2), 3]]) == Fraction(11, 2)
+    tenth = Fraction(1, 10)
+    assert exact_moment_target(
+        DistributionSpec.discrete([tenth, -tenth], [Fraction(1, 2)] * 2), 2, 2
+    ) == Fraction(1, 5000)
+
+
 def test_finite_flag():
     assert RADEMACHER.finite
     assert not NORMAL.finite
