@@ -61,7 +61,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from operator import getitem, mul
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import BasisMismatchError, MissingMomentError, OrderCapacityError
 
@@ -97,30 +97,24 @@ def _pack(exp: ExpVector) -> int:
     return key
 
 
-def _key_weight(key: int) -> int:
-    weight = key & _MASK
-    key >>= 2 * SLOT_BITS  # slot 1 is always empty
-    r = 2
-    while key:
-        weight += r * (key & _MASK)
-        key >>= SLOT_BITS
-        r += 1
-    return weight
-
-
 def _top_slot(terms: Terms) -> int:
     """Highest slot with a nonzero exponent in any key, -1 when there is none."""
     return (max((key.bit_length() for key in terms), default=0) - 1) // SLOT_BITS
 
 
-def _rows(terms: Terms, width: int) -> list[tuple[int, int, list[int], Rational]]:
+def _rows(
+    terms: Terms, width: Optional[int] = None
+) -> list[tuple[int, int, list[int], Rational]]:
     """``(weight, key, exponents, coef)`` per term, in canonical order.
 
-    The exponents are the key's first ``width`` slots, read at C speed: the
-    key's bytes in native order, cast to unsigned 16-bit slots.  The rows
-    are sorted by (weight, key), descending; keys are distinct, so a tie
-    never compares the rest of a row.
+    The exponents are the key's first ``width`` slots (by default, through
+    the highest nonzero slot of any key), read at C speed: the key's bytes
+    in native order, cast to unsigned 16-bit slots.  The rows are sorted by
+    (weight, key), descending; keys are distinct, so a tie never compares
+    the rest of a row.
     """
+    if width is None:
+        width = _top_slot(terms) + 1
     size = 2 * width
     order = sys.byteorder
     grading = (1, 0, *range(2, width))  # slot 1 is always empty
@@ -432,7 +426,7 @@ class MomentPolynomial:
 
     def grading_weights(self) -> set[int]:
         """Set of grading weights of the monomials (empty for the zero polynomial)."""
-        return {_key_weight(k) for k in self._terms}
+        return {w for w, *_ in _rows(self._terms)}
 
     def negate_entries(self) -> "MomentPolynomial":
         """Image under X -> -X, i.e. every order-r symbol picks up (-1)^r.
@@ -440,16 +434,12 @@ class MomentPolynomial:
         A monomial of grading weight w is multiplied by (-1)^w, so a
         polynomial is invariant iff all its weights are even.
         """
-        return self._like(
-            {k: -c if _key_weight(k) & 1 else c for k, c in self._terms.items()}
-        )
+        return self._like({k: -c if w & 1 else c for w, k, _, c in _rows(self._terms)})
 
     def scale_entries(self, c: Rational) -> "MomentPolynomial":
         """Image under X -> c*X: each monomial of weight w gains a factor c^w."""
         c = _rational(c)
-        return self._like(
-            _clean({k: coef * c ** _key_weight(k) for k, coef in self._terms.items()})
-        )
+        return self._like(_clean({k: x * c**w for w, k, _, x in _rows(self._terms)}))
 
     def substitute(self, order: int, value: Rational) -> "MomentPolynomial":
         """Replace the order-``order`` symbol by a rational constant."""

@@ -1,4 +1,10 @@
-"""One process pool for the oracle and the Monte-Carlo draw."""
+"""One process pool for the oracle and the Monte-Carlo draw.
+
+A job is a module-level ``fn(shared, lo, hi, progress=None)`` over the
+items lo .. hi-1 that calls ``progress(done, hi - lo)`` after each of its
+blocks; `map_ranges` runs it in this process or over contiguous ranges in
+a pool.
+"""
 
 from __future__ import annotations
 
@@ -21,35 +27,27 @@ def _run_chunk(bounds: tuple[int, int]) -> Any:
 
 
 def map_ranges(fn, shared, count: int, workers: int, progress=None) -> list:
-    """``fn(shared, lo, hi)`` over contiguous ranges that cover ``range(count)``.
+    """``fn`` over contiguous ranges that cover ``range(count)``, in index order.
 
-    ``workers == 1`` gives one range per item, so ``progress`` comes after
-    every item; more give ``min(count, 4 * workers)`` ranges.  count >= 1;
-    results come back in index order, and ``progress`` gets (end of the
-    range, ``count``) after each.  A pool has at most one process per range
-    and per CPU; with one, the ranges run in this process.  The pool
-    initializer sends each worker ``fn`` (module-level) and ``shared`` once,
-    so a task is two bounds.
+    The workers are capped at ``count`` and at the CPU count; count >= 1.
+    One worker makes the single call ``fn(shared, 0, count, progress)`` in
+    this process, so the job reports after each of its blocks.  More give
+    ``min(count, 4 * workers)`` ranges, and ``progress`` gets (end of the
+    range, ``count``) after each.  The pool initializer sends each worker
+    ``fn`` (module-level) and ``shared`` once, so a task is two bounds.
     """
-    # Decided by the workers asked for, before the CPU cap: a pooled oracle
-    # counts tables, too many to run one at a time, even on one CPU.
-    serial = workers == 1
-    workers = max(1, min(workers, count, os.cpu_count() or 1))
-    chunks = count if serial else min(count, 4 * workers)
+    workers = min(workers, count, os.cpu_count() or 1)
+    if workers <= 1:
+        return [fn(shared, 0, count, progress)]
+    chunks = min(count, 4 * workers)
     bounds = [(i * count) // chunks for i in range(chunks + 1)]
     ranges = list(zip(bounds, bounds[1:]))
-
-    def in_order(parts) -> list:
-        out = []
-        for (_, hi), part in zip(ranges, parts):
-            out.append(part)
-            if progress:
-                progress(hi, count)
-        return out
-
-    if workers == 1:
-        return in_order(fn(shared, lo, hi) for lo, hi in ranges)
+    out = []
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_start_worker, initargs=(fn, shared)
     ) as pool:
-        return in_order(pool.map(_run_chunk, ranges))
+        for (_, hi), part in zip(ranges, pool.map(_run_chunk, ranges)):
+            out.append(part)
+            if progress:
+                progress(hi, count)
+    return out

@@ -46,7 +46,9 @@ BLOCK_SIZE * n^2 entries, and the estimates are those of a whole-block
 draw.  A draw large enough to pay for a pool (`_PARALLEL_THRESHOLD`, in
 samples * n^3; never one through the determinant table) hands contiguous
 ranges of blocks to `pool.map_ranges`, which sends the law to each worker
-once; smaller draws run in this process.
+once; smaller draws run in this process.  A draw in this process (serial,
+or pooled on a machine with one CPU) reports progress after every block, a
+pooled one after each range.
 """
 
 from __future__ import annotations
@@ -78,13 +80,15 @@ BLOCK_SIZE = 4096
 # one call, so the parts change no estimate.
 PART_ENTRIES = 2**16
 # Monte-Carlo work, in samples * n^3, from which a pool of 2 workers beats the
-# serial draw.  Measured on 2 vCPUs, serial against pooled `mc_estimate`: +-1
-# entries, n = 8, 12,288 samples (6.3M) 35 / 39 ms, 32,768 (16.8M) 90 / 71 ms;
-# n = 12, 8192 (14M) 55 / 54 ms, and 88 / 67 ms for |entry| <= 2 (int64);
-# normal entries, n = 8, 20,000 (10M) 52 / 56 ms, 40,000 (20M) 119 / 89 ms.
-# A draw through the determinant table never pools: its block costs about
-# one RNG call, so a pool pays only for huge draws (n = 3, the table sent
-# once: 10^5 samples 10-14 ms serial, 21-39 pooled; 10^6 84-111 / 63-95).
+# serial draw.  Measured on 2 vCPUs, serial against pooled `mc_estimate`
+# through `pool.map_ranges`, each in a fresh interpreter, median of 11
+# alternating pairs: +-1 entries, n = 8, 12,288 samples (6.3M) 42 / 89 ms,
+# 32,768 (16.8M) 100 / 87 ms; n = 12, 8192 (14M) 83 / 75 ms, and 117 / 91 ms
+# for |entry| <= 2 (int64); normal entries, n = 8, 20,000 (10M) 78 / 77 ms,
+# 40,000 (20M) 137 / 118 ms.  A draw through the determinant table never
+# pools, although a pool breaks even there near 12M too: +-1 entries,
+# n = 3, 2x10^5 samples 34 / 53 ms, 444,445 (12M) 63 / 60 ms, 10^6 (27M)
+# 114 / 90 ms.
 _PARALLEL_THRESHOLD = 12_000_000
 DEFAULT_SAMPLES = 10**6
 DEFAULT_EXHAUSTIVE_BUDGET = 10**6
@@ -369,21 +373,16 @@ def exhaustive_moment(
     rows = _index_block(0, s**n, s, n)
     row_weights = np.array(numer, dtype=dtype)[rows].prod(axis=1)
 
-    def by_det(dets: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    weights: dict[int, int] = {}
+    for chosen in _row_sets(s**n, n):
+        dets = _gather_dets(support, rows[chosen])
         found, which = np.unique(dets, return_inverse=True)
         sums = np.zeros(len(found), dtype=dtype)
-        np.add.at(sums, which, weights)
-        return found, sums
-
-    blocks = [
-        by_det(_gather_dets(support, rows[chosen]), row_weights[chosen].prod(axis=1))
-        for chosen in _row_sets(s**n, n)
-    ]
-    if not blocks:
-        # Fewer than n distinct rows: every matrix repeats a row.
-        return Fraction(0)
-    dets, sums = by_det(*(np.concatenate(a) for a in zip(*blocks)))
-    acc = sum(w * d**k for d, w in zip(dets.tolist(), sums.tolist()))
+        np.add.at(sums, which, row_weights[chosen].prod(axis=1))
+        for d, w in zip(found.tolist(), sums.tolist()):
+            weights[d] = weights.get(d, 0) + w
+    # Fewer than n distinct rows leave no set: every matrix repeats a row.
+    acc = sum(w * d**k for d, w in weights.items())
     return Fraction(math.factorial(n) * acc, denom**cells * scale ** (n * k))
 
 
@@ -477,18 +476,25 @@ def _parts(count: int, n: int) -> list[int]:
 def _block_draws(
     seed: int, samples: int, n: int, lo: int, hi: int,
     part: Callable[[np.random.Generator, int], np.ndarray],
+    progress: Optional[Callable[[int, int], None]],
 ) -> Iterator[np.ndarray]:
     """``part(g, m)`` over each of the blocks lo .. hi-1, joined per block.
 
     Block b's generator is `_block_rng` (seed, b); `_parts` sizes its calls.
+    ``progress`` gets (blocks done, ``hi - lo``) once the caller is done
+    with a block.
     """
     for b in range(lo, hi):
         count = min(BLOCK_SIZE, samples - b * BLOCK_SIZE)
         g = _block_rng(seed, b)
         yield np.concatenate([part(g, m) for m in _parts(count, n)])
+        if progress:
+            progress(b + 1 - lo, hi - lo)
 
 
-def _normal_blocks(shared: tuple, lo: int, hi: int) -> list[tuple[float, float]]:
+def _normal_blocks(
+    shared: tuple, lo: int, hi: int, progress=None
+) -> list[tuple[float, float]]:
     """(sum of det^k, sum of det^2k) of each of the blocks lo .. hi-1."""
     seed, samples, n, k = shared
 
@@ -498,13 +504,13 @@ def _normal_blocks(shared: tuple, lo: int, hi: int) -> list[tuple[float, float]]
     out = []
     # Overflow shows as a non-finite sum, which mc_estimate reports.
     with np.errstate(over="ignore", invalid="ignore"):
-        for dets in _block_draws(seed, samples, n, lo, hi, part):
+        for dets in _block_draws(seed, samples, n, lo, hi, part, progress):
             vals = dets**k
             out.append((float(np.sum(vals)), float(np.sum(vals * vals))))
     return out
 
 
-def _discrete_blocks(shared: tuple, lo: int, hi: int) -> tuple[int, int]:
+def _discrete_blocks(shared: tuple, lo: int, hi: int, progress=None) -> tuple[int, int]:
     """Exact sums of det^k and det^2k over the blocks lo .. hi-1, support scaled."""
     seed, samples, n, k, support, cum, uniform, table = shared
     s = len(support)
@@ -525,7 +531,7 @@ def _discrete_blocks(shared: tuple, lo: int, hi: int) -> tuple[int, int]:
 
     sx = 0
     sxx = 0
-    for keys in _block_draws(seed, samples, n, lo, hi, part):
+    for keys in _block_draws(seed, samples, n, lo, hi, part, progress):
         if table is None:
             found, counts = np.unique(keys, return_counts=True)
             values = found.tolist()
@@ -563,8 +569,9 @@ def mc_estimate(
 
     Raises `BudgetExceededError` before drawing anything if ``samples``
     exceeds ``budget`` (default `DEFAULT_MC_BUDGET`).  ``progress`` gets
-    (blocks done, blocks) after every block of a serial draw, and after each
-    range of blocks of a pooled one (`pool.map_ranges`).
+    (blocks done, blocks) after every block of a draw in this process, which
+    includes a pooled one that falls back to one CPU, and after each range
+    of blocks of a pooled one (`pool.map_ranges`).
     """
     if samples < 2:
         raise ValueError("need at least two samples for a standard error")

@@ -80,9 +80,13 @@ from .pool import map_ranges
 from .poly import Basis, MomentPolynomial
 
 DEFAULT_BUDGET = 10**8
-# Tables from which a pool of 2 workers beats the serial kernel: measured
-# on 2 vCPUs, about 0.9M for marked tables (~45 ns each) and 0.4-0.7M for
-# plain ones (~150 ns each), against about 30-60 ms to start the pool.
+# Tables from which a pool of 2 workers beats the serial kernel.  Measured on
+# 2 vCPUs, serial against pooled `oracle_moment` through `pool.map_ranges`,
+# each in a fresh interpreter, median of 11 alternating pairs: plain tables
+# (~130-170 ns each) 100,800 17 / 32 ms, 1.66M 277 / 158 ms, 5.7M
+# 753 / 412 ms; marked ones (~45 ns each at k = 4) 864,000 39 / 44 ms,
+# 2.3M (k = 5) 176 / 117 ms.  With about 20-35 ms to start the pool, plain
+# tables break even near 0.3-0.5M and marked ones near 1M.
 _PARALLEL_THRESHOLD = 800_000
 # Tables per block of the vectorised kernel.  At 2^15 each int64 temporary
 # (256 KB) is a fresh mmap whose page faults cost more than the arithmetic.
@@ -601,7 +605,8 @@ def oracle_moment(
 
     Raises `BudgetExceededError` before doing any work if the enumeration
     would exceed ``budget`` weight evaluations.  ``progress`` receives
-    (tables visited, `table_count`) after every block, or every chunk of
+    (tables visited, `table_count`) after every block in this process,
+    serial or a pool that falls back to one CPU, or after every chunk of
     the index range when pooled.  Results are exact and independent of
     ``workers``; a pool starts at most one process per chunk and per CPU.
     """
@@ -616,10 +621,9 @@ def oracle_moment(
     _check_kernel_limits(k, n, mode, total)
 
     plan = _plan(k, n, mode)
-    if workers > 1 and total >= _PARALLEL_THRESHOLD:
-        parts = map_ranges(_accumulate_range, plan, total, workers, progress)
-    else:
-        parts = [_accumulate_range(plan, 0, total, progress)]
+    if total < _PARALLEL_THRESHOLD:
+        workers = 1
+    parts = map_ranges(_accumulate_range, plan, total, workers, progress)
 
     # Each chunk's (key, orbit option) sum meets the option's weight once:
     # orbit sizes outgrow int64 (21! > 2**63), the sums of row signs do not.

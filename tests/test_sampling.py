@@ -474,10 +474,11 @@ EXHAUSTIVE_CASES = {
 }
 
 
-@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize("block", [None, 7, 1])
 @pytest.mark.parametrize("case", list(EXHAUSTIVE_CASES))
 def test_exhaustive_matches_per_matrix_loop(case, block, monkeypatch):
-    # A block size of 7 puts block boundaries inside every enumeration.
+    # A block size of 7 puts block boundaries inside every enumeration; at
+    # 1, every set is a block of its own.
     if block is not None:
         monkeypatch.setattr(sampling, "BLOCK_SIZE", block)
     dist, sizes = EXHAUSTIVE_CASES[case]
@@ -609,6 +610,33 @@ def test_a_serial_draw_reports_progress_after_every_block():
     mc_estimate(RADEMACHER, 2, 3, samples=100 * sampling.BLOCK_SIZE, seed=0,
                 workers=1, progress=lambda done, total: seen.append((done, total)))
     assert seen == [(b, 100) for b in range(1, 101)]
+
+
+@pytest.mark.parametrize(
+    "dist, job", [(NORMAL, "_normal_blocks"), (RADEMACHER, "_discrete_blocks")]
+)
+def test_a_pooled_draw_on_one_cpu_is_one_call_that_reports_every_block(
+    monkeypatch, inline_pool, dist, job
+):
+    samples = 10 * sampling.BLOCK_SIZE
+    serial = mc_estimate(dist, 2, 4, samples=samples, seed=2)
+    monkeypatch.setattr(sampling, "_PARALLEL_THRESHOLD", 0)
+    monkeypatch.setattr("os.cpu_count", lambda: 1)
+    starts = inline_pool(pool)
+    calls = []
+    draw = getattr(sampling, job)
+
+    def recording(shared, lo, hi, progress=None):
+        calls.append((lo, hi))
+        return draw(shared, lo, hi, progress)
+
+    monkeypatch.setattr(sampling, job, recording)
+    seen = []
+    pooled = mc_estimate(dist, 2, 4, samples=samples, seed=2, workers=2,
+                         progress=lambda done, total: seen.append((done, total)))
+    assert bits(pooled) == bits(serial)
+    assert starts == [] and calls == [(0, 10)]
+    assert seen == [(b, 10) for b in range(1, 11)]
 
 
 def test_mc_seed_changes_the_draw():

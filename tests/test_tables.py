@@ -371,6 +371,32 @@ def test_progress_is_reported_once_per_block(monkeypatch):
     assert seen == [(100, 108), (108, 108)]
 
 
+def test_a_pooled_oracle_on_one_cpu_is_one_call_that_reports_every_block(
+    monkeypatch, inline_pool
+):
+    monkeypatch.setattr(tables, "BLOCK_SIZE", 100)
+    serial = oracle_moment(4, 3)
+    monkeypatch.setattr(tables, "_PARALLEL_THRESHOLD", 0)
+    monkeypatch.setattr("os.cpu_count", lambda: 1)
+    starts = inline_pool(pool)
+    calls = []
+    accumulate = tables._accumulate_range
+
+    def recording(plan, lo, hi, progress=None):
+        calls.append((lo, hi))
+        return accumulate(plan, lo, hi, progress)
+
+    monkeypatch.setattr(tables, "_accumulate_range", recording)
+    seen = []
+    pooled = oracle_moment(
+        4, 3, workers=2, progress=lambda done, total: seen.append((done, total))
+    )
+    assert pooled == serial
+    assert starts == [] and calls == [(0, 108)]
+    # p(3) * 3!^2 = 108 tables: one full block and one of 8.
+    assert seen == [(100, 108), (108, 108)]
+
+
 # -- the block kernel against a pure-Python column-run reference -----------
 
 MARK = -1
