@@ -5,20 +5,22 @@ clearing denominators, by one fraction-free (Bareiss) kernel, `_bareiss`,
 vectorised over a batch of matrices held batch axis last, (n, n, B), so
 every elementwise loop runs over B contiguous items.  By Sylvester's
 identity every intermediate entry is a minor, so Hadamard's inequality
-bounds it (`_bareiss_bound`), and the bound picks one of three dtypes for
-the whole elimination:
+bounds what each elimination step forms (`_bareiss_bound`), and each step
+runs in the cheapest dtype its own bound allows (`_step_dtype`):
 
-- float64 while it stays below 2^53 (`_float_safe`): +-1 entries up to
-  n = 14, |entry| <= 2 up to n = 10.  Every product, difference and exact
-  quotient of such integers is exact in float64, and its division is much
-  cheaper than int64 floor division.
-- int64 while it stays below 2^63 (`_int64_safe`): +-1 entries up to
-  n = 16, |entry| <= 2 up to n = 12.
+- float64 below 2^53: +-1 entries for steps 0-12 (all of n <= 14),
+  |entry| <= 2 for steps 0-8 (n <= 10).  Every product, difference and
+  exact quotient of such integers is exact in float64, and its division is
+  much cheaper than int64 floor division.
+- int64 below 2^63: +-1 entries for steps 13-14, |entry| <= 2 for 9-10.
 - numpy ``object`` arrays of Python ints beyond that.
 
-Either way the determinants are exact integers.  Random matrices are
-gathered from the scaled support straight into the kernel's layout
-(`_gather_dets`: `np.take` through the transposed index array).
+The bounds grow with the step, so an elimination only moves down this
+list: a +-1 draw at n = 20 runs 13 steps in float64, 2 in int64 and 4 in
+``object``, and converts only the live trailing block on the way.  Either
+way the determinants are exact integers.  Random matrices are gathered
+from the scaled support straight into the kernel's layout (`_gather_dets`:
+`np.take` through the transposed index array).
 
 The exhaustive average runs over sets of n distinct rows, in blocks of
 `BLOCK_SIZE` sets (`_row_sets`), each weighted by n! times its rows'
@@ -44,9 +46,9 @@ sums (or `np.unique` counts) then run over all of its determinants.  So
 the memory a worker holds no longer grows with the block's
 BLOCK_SIZE * n^2 entries, and the estimates are those of a whole-block
 draw.  A draw large enough to pay for a pool (`_PARALLEL_THRESHOLD`, in
-samples * n^3; never one through the determinant table) hands contiguous
-ranges of blocks to `pool.map_ranges`, which sends the law to each worker
-once; smaller draws run in this process.  A draw in this process (serial,
+samples * n^3) hands contiguous ranges of blocks to `pool.map_ranges`,
+which sends the law, and the determinant table if any, to each worker once;
+smaller draws run in this process.  A draw in this process (serial,
 or pooled on a machine with one CPU) reports progress after every block, a
 pooled one after each range.
 """
@@ -80,15 +82,15 @@ BLOCK_SIZE = 4096
 # one call, so the parts change no estimate.
 PART_ENTRIES = 2**16
 # Monte-Carlo work, in samples * n^3, from which a pool of 2 workers beats the
-# serial draw.  Measured on 2 vCPUs, serial against pooled `mc_estimate`
-# through `pool.map_ranges`, each in a fresh interpreter, median of 11
-# alternating pairs: +-1 entries, n = 8, 12,288 samples (6.3M) 42 / 89 ms,
-# 32,768 (16.8M) 100 / 87 ms; n = 12, 8192 (14M) 83 / 75 ms, and 117 / 91 ms
-# for |entry| <= 2 (int64); normal entries, n = 8, 20,000 (10M) 78 / 77 ms,
-# 40,000 (20M) 137 / 118 ms.  A draw through the determinant table never
-# pools, although a pool breaks even there near 12M too: +-1 entries,
-# n = 3, 2x10^5 samples 34 / 53 ms, 444,445 (12M) 63 / 60 ms, 10^6 (27M)
-# 114 / 90 ms.
+# serial draw, a draw through the determinant table included.  Measured on 2
+# vCPUs, serial against pooled `mc_estimate` through `pool.map_ranges`, each
+# in a fresh interpreter, median of 11 alternating pairs: +-1 entries, n = 8,
+# 12,288 samples (6.3M) 42 / 89 ms, 32,768 (16.8M) 100 / 87 ms; n = 12, 8192
+# (14M) 83 / 75 ms, and 117 / 91 ms for |entry| <= 2; normal entries, n = 8,
+# 20,000 (10M) 78 / 77 ms, 40,000 (20M) 137 / 118 ms.  Through the table,
+# with workers that inherit numpy.random (two sets of 11 pairs): +-1
+# entries, n = 3, 2x10^5 samples (5.4M) 34-36 / 34-35 ms, 444,445 (12M)
+# 55-59 / 52-57 ms, 10^6 (27M) 95-110 / 85-89 ms.
 _PARALLEL_THRESHOLD = 12_000_000
 DEFAULT_SAMPLES = 10**6
 DEFAULT_EXHAUSTIVE_BUDGET = 10**6
@@ -176,7 +178,8 @@ def exact_det(rows: Sequence[Sequence[Rational]]) -> Fraction:
 
 def _batch_int_det(mats: np.ndarray) -> np.ndarray:
     """Exact determinants of a (B, n, n) integer-valued array; see `_bareiss`."""
-    return _bareiss(np.moveaxis(mats, 0, -1).copy())
+    top = int(np.abs(mats).max(initial=0))
+    return _bareiss(np.moveaxis(mats, 0, -1).copy(), top)
 
 
 def _gather_dets(support: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -186,18 +189,24 @@ def _gather_dets(support: np.ndarray, idx: np.ndarray) -> np.ndarray:
     (n, n, B) array, the kernel's layout, with no second copy.  (Plain
     fancy indexing with the same indices gives a strided array.)
     """
-    return _bareiss(np.take(support, idx.transpose(1, 2, 0)))
+    top = int(np.abs(support).max(initial=0))
+    return _bareiss(np.take(support, idx.transpose(1, 2, 0)), top)
 
 
-def _bareiss(m: np.ndarray) -> np.ndarray:
+def _bareiss(m: np.ndarray, top: int) -> np.ndarray:
     """Exact determinants of an (n, n, B) array, batch axis last, by Bareiss.
 
-    ``m`` is overwritten.  Its dtype is ``float64``, ``int64`` or ``object``
-    (Python ints); the caller checks `_float_safe` or `_int64_safe` first.
-    float64 holds integers below 2^53 exactly, so its products, differences
-    and exact quotients are the integer ones, and it divides with ``/``;
-    the other dtypes divide with ``//``.  Determinants come back as int64
-    for float64 input, else in the input dtype.
+    ``m`` holds integers of magnitude at most ``top``, in any dtype, and
+    may be overwritten.  Step s runs in the dtype `_step_dtype` picks for
+    its own bound, `_bareiss_bound` (s + 2, top): float64 holds integers
+    below 2^53 exactly, so its products, differences and exact quotients
+    are the integer ones, and it divides with ``/``; int64 and ``object``
+    (Python ints) divide with ``//``.  Step 0 takes ``m`` into its dtype;
+    the bounds grow with s, so the later steps convert only the live
+    trailing block, the signs and the previous pivots, at most twice
+    (float64 reaches ``object`` through int64).  Determinants come back as
+    int64 when Hadamard's bound on them is below 2^63, else as Python ints
+    in an ``object`` array.
 
     Each step pivots on the first nonzero entry at or below the diagonal
     and applies one fraction-free rank-1 update to the trailing block of
@@ -206,36 +215,42 @@ def _bareiss(m: np.ndarray) -> np.ndarray:
     with every division exact.
     """
     n, _, B = m.shape
-    out = np.int64 if m.dtype == np.float64 else m.dtype
+    # Hadamard: |det| <= n^(n/2) top^n, below 2^63 iff n^n top^(2n) < 2^126.
+    out = np.dtype(np.int64 if n**n * top ** (2 * n) < 2**126 else object)
     if n == 0:
         return np.ones(B, dtype=out)
-    divide = np.true_divide if m.dtype == np.float64 else np.floor_divide
     sign = np.ones(B, dtype=m.dtype)
     prev = np.ones(B, dtype=m.dtype)
-    # One buffer for every step's rank-1 product.
-    buf = np.empty((n - 1) ** 2 * B, dtype=m.dtype)
     for s in range(n - 1):
-        zero = np.nonzero(m[s, s] == 0)[0]
+        dtype = _step_dtype(_bareiss_bound(s + 2, top))
+        if s == 0 or dtype != m.dtype:
+            m, sign, prev = (_exact_as(x, dtype) for x in (m, sign, prev))
+            # One buffer per dtype for the steps' rank-1 products.
+            buf = np.empty((n - s - 1) ** 2 * B, dtype=dtype)
+        # m is the live trailing block; its row and column 0 are step s's.
+        zero = np.nonzero(m[0, 0] == 0)[0]
         if zero.size:
-            nonzero = m[s + 1 :, s, zero] != 0
+            nonzero = m[1:, 0, zero] != 0
             found = nonzero.any(axis=0)
             dead = zero[~found]
-            m[s:, s:, dead] = 0
-            m[s, s, dead] = 1
+            m[:, :, dead] = 0
+            m[0, 0, dead] = 1
             swap = zero[found]
-            r = nonzero[:, found].argmax(axis=0) + s + 1
-            m[s, :, swap], m[r, :, swap] = m[r, :, swap], m[s, :, swap]
+            r = nonzero[:, found].argmax(axis=0) + 1
+            m[0, :, swap], m[r, :, swap] = m[r, :, swap], m[0, :, swap]
             sign[swap] = -sign[swap]
-        piv = m[s, s].copy()
-        sub = m[s + 1 :, s + 1 :]
+        piv = m[0, 0].copy()
+        sub = m[1:, 1:]
         rank1 = buf[: sub.size].reshape(sub.shape)
-        np.multiply(m[s + 1 :, s, None], m[s, None, s + 1 :], out=rank1)
+        np.multiply(m[1:, 0, None], m[0, None, 1:], out=rank1)
         sub *= piv
         sub -= rank1
         if s:
+            divide = np.true_divide if dtype == np.float64 else np.floor_divide
             divide(sub, prev, out=sub)
         prev = piv
-    return (sign * m[n - 1, n - 1]).astype(out, copy=False)
+        m = sub
+    return _exact_as(sign * m[0, 0], out)
 
 
 def _bareiss_bound(n: int, max_abs: int) -> int:
@@ -244,39 +259,42 @@ def _bareiss_bound(n: int, max_abs: int) -> int:
     By Sylvester's identity every intermediate entry is a minor of order
     r <= n - 1, bounded by Hadamard's inequality as H_r = r^(r/2) max_abs^r.
     The largest value formed before a division is a difference of two
-    products of such minors, at most 2 H_(n-1)^2.
+    products of such minors, at most 2 H_(n-1)^2.  So `_bareiss_bound`
+    (s + 2, max_abs) bounds what elimination step s forms, whatever n.
     """
     r = max(n - 1, 1)
     return 2 * r**r * max_abs ** (2 * r)
 
 
-def _float_safe(n: int, max_abs: int) -> bool:
-    """Whether float64 Bareiss is exact: +-1 up to n = 14, |entry| <= 2 up to 10."""
-    return _bareiss_bound(n, max_abs) < 2**53
+def _step_dtype(bound: int) -> np.dtype:
+    """The cheapest exact dtype for integer arithmetic below ``bound``.
+
+    float64 below 2^53 (+-1 entries up to Bareiss step 12, |entry| <= 2 up
+    to step 8), int64 below 2^63 (steps 13-14 and 9-10), else ``object``.
+    """
+    if bound < 2**53:
+        return np.dtype(np.float64)
+    return np.dtype(np.int64 if bound < 2**63 else object)
 
 
-def _int64_safe(n: int, max_abs: int) -> bool:
-    """Whether int64 Bareiss cannot overflow: +-1 up to n = 16, |entry| <= 2 up to 12."""
-    return _bareiss_bound(n, max_abs) < 2**63
+def _exact_as(x: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """Integer-valued ``x`` in ``dtype``; float64 reaches ``object`` through int64."""
+    if x.dtype == np.float64 and dtype == object:
+        x = x.astype(np.int64)
+    return x.astype(dtype, copy=False)
 
 
-def _integer_support(dist: DistributionSpec, n: int) -> tuple[int, np.ndarray]:
+def _integer_support(dist: DistributionSpec) -> tuple[int, np.ndarray]:
     """The lcm ``scale`` of the support's denominators, and support * scale.
 
-    The array is float64 when `_float_safe` allows it for n x n matrices,
-    else int64 when `_int64_safe` does, else an ``object`` array of Python
-    ints.
+    The array has the dtype of the first Bareiss step, `_step_dtype`
+    (`_bareiss_bound` (2, top)), which holds the entries themselves; the
+    kernel moves on to int64 or ``object`` from the step that needs it.
     """
     scale = math.lcm(*(v.denominator for v in dist.values))
     scaled = [v.numerator * (scale // v.denominator) for v in dist.values]
     top = max(map(abs, scaled))
-    if _float_safe(n, top):
-        dtype = np.float64
-    elif _int64_safe(n, top):
-        dtype = np.int64
-    else:
-        dtype = object
-    return scale, np.array(scaled, dtype=dtype)
+    return scale, np.array(scaled, dtype=_step_dtype(_bareiss_bound(2, top)))
 
 
 # -- exhaustive averages ---------------------------------------------------
@@ -365,7 +383,7 @@ def exhaustive_moment(
     if k % 2 and n >= 2:
         return Fraction(0)
 
-    scale, support = _integer_support(dist, n)
+    scale, support = _integer_support(dist)
     denom = math.lcm(*(p.denominator for p in dist.probs))
     # All set weights together sum to at most denom^(n^2).
     dtype = np.int64 if denom**cells < 2**63 else object
@@ -583,10 +601,13 @@ def mc_estimate(
             samples, budget, f"Monte-Carlo estimate for k={k}, n={n}", unit="samples"
         )
 
+    # Every draw needs it: imported here, before `map_ranges` can fork, it
+    # spares each pool worker its own import (36 ms, 17 ms of it CPU, per
+    # worker of 2 on 2 vCPUs).
+    import numpy.random  # noqa: F401
+
     blocks = -(-samples // BLOCK_SIZE)
-    # Few enough matrices to take every determinant once (`_det_table`).
-    small = dist.finite and len(dist.values) ** (n * n) <= min(BLOCK_SIZE, samples)
-    if (0 if small else samples * n**3) < _PARALLEL_THRESHOLD:
+    if samples * n**3 < _PARALLEL_THRESHOLD:
         workers = 1
     if dist.kind is DistKind.STD_NORMAL:
         chunks = map_ranges(
@@ -600,9 +621,11 @@ def mc_estimate(
         var = max(sum_xx - samples * estimate * estimate, 0.0) / (samples - 1)
         se = math.sqrt(var / samples)
     else:
-        scale, support = _integer_support(dist, n)
+        scale, support = _integer_support(dist)
         uniform = len(set(dist.probs)) == 1
         cum = np.cumsum([float(p) for p in dist.probs])
+        # Few enough matrices to take every determinant once (`_det_table`).
+        small = len(support) ** (n * n) <= min(BLOCK_SIZE, samples)
         table = _det_table(support, n) if small else None
         shared = (seed, samples, n, k, support, cum, uniform, table)
         parts = map_ranges(_discrete_blocks, shared, blocks, workers, progress)
