@@ -43,7 +43,7 @@ def parse_args() -> argparse.Namespace:
     parser.add_argument("--probs", default=None,
                         help="comma-separated probabilities")
     args = parser.parse_args()
-    args.dist = "rademacher" if args.values is None else "discrete"
+    args.dist = "rademacher" if args.values is None and args.probs is None else "discrete"
     try:
         args.dist = _build_dist(args)
     except ValueError as exc:

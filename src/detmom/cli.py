@@ -128,6 +128,8 @@ def _parse_fractions(text: str, what: str) -> list[Fraction]:
 
 
 def _build_dist(args: argparse.Namespace) -> DistributionSpec:
+    if args.dist != "discrete" and (args.values is not None or args.probs is not None):
+        raise UsageError(f"--dist {args.dist} takes no --values or --probs")
     if args.dist == "rademacher":
         return DistributionSpec.rademacher()
     if args.dist == "normal":
@@ -309,14 +311,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_closed)
 
     p = sub.add_parser("series", help="generating functions, truncated")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--order", type=int, default=8)
-    p.add_argument(
+    pick = p.add_mutually_exclusive_group()
+    pick.add_argument("--k", type=int, default=None)
+    pick.add_argument(
         "--which",
         choices=("f2", "f4", "f6", "n6", "mark0", "mark2",
                  "mark4-single", "mark4-split", "mark4"),
         default=None,
     )
+    p.add_argument("--order", type=int, default=8)
     p.add_argument("--central-only", action="store_true")
     add_format(p)
     p.set_defaults(fn=_cmd_series)

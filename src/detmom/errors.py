@@ -19,10 +19,6 @@ class MissingMomentError(ValueError):
     """Raised when evaluating a polynomial without a value for some symbol."""
 
 
-class ConventionMismatchError(ValueError):
-    """Raised when combining series tagged with different coefficient conventions."""
-
-
 class BudgetExceededError(RuntimeError):
     """Raised when an enumeration would exceed its configured work budget.
 

@@ -49,12 +49,7 @@ from .poly import (
     central_symbol,
     raw_symbol,
 )
-from .series import (
-    Convention,
-    TruncatedEGF,
-    polynomial_in_t,
-    t_times,
-)
+from .series import TruncatedEGF, polynomial_in_t, t_times
 
 # -- shared helpers --------------------------------------------------------
 
@@ -103,8 +98,8 @@ def second_moment_egf(order: int) -> TruncatedEGF:
     """F_2(t) = (1 + m_1^2 t) exp((m_2 - m_1^2) t)."""
     m1 = raw_symbol(1)
     m2 = raw_symbol(2)
-    growth = t_times(m2 - m1**2, order, Convention.F_CONVENTION).exp()
-    return polynomial_in_t([1, m1**2], order, Convention.F_CONVENTION) * growth
+    growth = t_times(m2 - m1**2, order).exp()
+    return polynomial_in_t([1, m1**2], order) * growth
 
 
 # -- Gaussian entries, any even k ------------------------------------------
@@ -140,14 +135,14 @@ def gaussian_moment_table(up_to: int) -> dict[int, Fraction]:
 def gaussian_sixth_egf(order: int) -> TruncatedEGF:
     """N_6(t) = sum_n (n+1)(n+2)(n+4)!/48 t^n, the Gaussian sixth-moment series.
 
-    Its coefficients are gaussian_det_moment(6, n)/n!^2, i.e. the k = 6
-    specialization of the f-convention with all moment dependence evaluated.
+    Its coefficients are gaussian_det_moment(6, n)/n!^2, i.e. F_6 with all
+    moment dependence evaluated at standard normal entries.
     """
     coeffs = [
         MomentPolynomial.constant(Fraction(_gaussian_sixth(n)), Basis.RAW)
         for n in range(order + 1)
     ]
-    return TruncatedEGF(tuple(coeffs), Convention.F_CONVENTION)
+    return TruncatedEGF(tuple(coeffs))
 
 
 def _gaussian_sixth(n: int) -> int:
@@ -210,22 +205,21 @@ def fourth_moment(n: int) -> MomentPolynomial:
 @lru_cache(maxsize=None)
 def fourth_moment_egf(order: int) -> TruncatedEGF:
     """F_4(t) in the central basis, any mean."""
-    conv = Convention.F_CONVENTION
     m1 = central_mean()
     mu2 = central_symbol(2)
     mu3 = central_symbol(3)
     mu4 = central_symbol(4)
 
-    growth = t_times(mu4 - 3 * mu2**2, order, conv).exp()
-    seq = t_times(mu2**2, order, conv).geometric()  # 1/(1 - mu2^2 t)
-    marked_pair = polynomial_in_t([1, m1 * mu3], order, conv)  # 1 + m1 mu3 t
+    growth = t_times(mu4 - 3 * mu2**2, order).exp()
+    seq = t_times(mu2**2, order).geometric()  # 1/(1 - mu2^2 t)
+    marked_pair = polynomial_in_t([1, m1 * mu3], order)  # 1 + m1 mu3 t
 
     bracket = marked_pair.pow(4)
     bracket = bracket + 6 * m1**2 * mu2 * t_times(
-        MomentPolynomial.constant(1, Basis.CENTRAL), order, conv
+        MomentPolynomial.constant(1, Basis.CENTRAL), order
     ) * marked_pair.pow(2) * seq
     bracket = bracket + m1**4 * polynomial_in_t(
-        [0, 1, 7 * mu2**2, 4 * mu2**4], order, conv, basis=Basis.CENTRAL
+        [0, 1, 7 * mu2**2, 4 * mu2**4], order, basis=Basis.CENTRAL
     ) * seq.pow(2)
     return growth * seq.pow(3) * bracket
 
@@ -269,25 +263,24 @@ def mark_class_egf(which: MarkClass, order: int) -> TruncatedEGF:
     none, two (in one column), or four, the last subdivided by whether the
     four marks occupy one column pair or two separate columns.
     """
-    conv = Convention.F_CONVENTION
     m1 = central_mean()
     mu4 = central_symbol(4)
     one = MomentPolynomial.constant(1, Basis.CENTRAL)
 
-    growth = t_times(mu4 - 3 * one, order, conv).exp()
-    seq = t_times(one, order, conv).geometric()  # 1/(1 - t)
+    growth = t_times(mu4 - 3 * one, order).exp()
+    seq = t_times(one, order).geometric()  # 1/(1 - t)
 
     if which is MarkClass.ZERO:
         return growth * seq.pow(3)
     if which is MarkClass.TWO:
-        return 6 * m1**2 * t_times(one, order, conv) * growth * seq.pow(4)
+        return 6 * m1**2 * t_times(one, order) * growth * seq.pow(4)
     if which is MarkClass.FOUR_ONE_COL:
         return m1**4 * polynomial_in_t(
-            [0, 1, 2], order, conv, basis=Basis.CENTRAL
+            [0, 1, 2], order, basis=Basis.CENTRAL
         ) * growth * seq.pow(4)
     if which is MarkClass.FOUR_TWO_COLS:
         return 6 * m1**4 * polynomial_in_t(
-            [0, 0, 1, 1], order, conv, basis=Basis.CENTRAL
+            [0, 0, 1, 1], order, basis=Basis.CENTRAL
         ) * growth * seq.pow(5)
     # FOUR = FOUR_ONE_COL + FOUR_TWO_COLS
     return mark_class_egf(MarkClass.FOUR_ONE_COL, order) + mark_class_egf(
@@ -357,13 +350,12 @@ def sixth_moment_zero_mean_egf(order: int) -> TruncatedEGF:
     q_6 and q_4 are the degree-6 combinations appearing in the exponent and
     the pole.
     """
-    conv = Convention.F_CONVENTION
     m2, m3, m4, m6 = (raw_symbol(r) for r in (2, 3, 4, 6))
     q6, q4 = _q6(m2, m3, m4, m6), _q4(m2, m4)
 
-    skew = polynomial_in_t([1, m3**2], order, conv).pow(10)
-    growth = t_times(q6, order, conv).exp()
-    seq = t_times(q4, order, conv).geometric()  # 1/(1 - q4 t)
-    inner = t_times(m2**3, order, conv) * seq.pow(3)
+    skew = polynomial_in_t([1, m3**2], order).pow(10)
+    growth = t_times(q6, order).exp()
+    seq = t_times(q4, order).geometric()  # 1/(1 - q4 t)
+    inner = t_times(m2**3, order) * seq.pow(3)
     gaussian_part = gaussian_sixth_egf(order).compose(inner)
     return skew * growth * seq.pow(15) * gaussian_part

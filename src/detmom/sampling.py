@@ -98,14 +98,14 @@ DEFAULT_MC_BUDGET = 10**8
 
 
 class DistKind(Enum):
-    RADEMACHER = "rademacher"
     STD_NORMAL = "normal"
     DISCRETE = "discrete"
 
 
 @dataclass(frozen=True)
 class DistributionSpec:
-    """An entry distribution: signed Bernoulli, standard normal, or finite.
+    """An entry distribution: standard normal, or finite (``rademacher()``
+    is the finite law of +-1, each with probability 1/2).
 
     Support values and probabilities are stored as `Fraction`s; an inexact
     real (a float) raises TypeError.
@@ -135,7 +135,7 @@ class DistributionSpec:
     @classmethod
     def rademacher(cls) -> "DistributionSpec":
         half = Fraction(1, 2)
-        return cls(DistKind.RADEMACHER, (Fraction(-1), Fraction(1)), (half, half))
+        return cls.discrete((-1, 1), (half, half))
 
     @classmethod
     def std_normal(cls) -> "DistributionSpec":

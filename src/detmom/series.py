@@ -5,14 +5,9 @@ series whose coefficients are `MomentPolynomial`s (constants are polynomials
 too).  Everything is formal: no convergence is implied, and all operations are
 exact term manipulation over the rationals.
 
-Two coefficient conventions are tagged on a series and must agree before
-series are combined:
-
-* PLAIN_EGF    -- coefficient of t^n is a_n with the series sum a_n t^n / 1;
-                  used for ordinary species-style bookkeeping where the
-                  caller tracks factorials themselves.
-* F_CONVENTION -- coefficient of t^n is f_k(n) / n!^2; `det_moment` recovers
-                  the determinant moment by multiplying back n!^2.
+The method works with one kind of series, F_k(t) = sum_n f_k(n) t^n / n!^2:
+the coefficient of t^n is a_n = f_k(n) / n!^2, and `det_moment` recovers
+f_k(n) = n!^2 a_n from any series.
 
 The classic species constructions are available on zero-constant-term series
 ``a``: ``a.exp()`` builds SET(a), ``a.geometric()`` builds SEQ(a) = 1/(1-a),
@@ -44,18 +39,11 @@ adds every weighted product into a single term map.
 
 from __future__ import annotations
 
-from enum import Enum
 from fractions import Fraction
 from math import comb, factorial
 from typing import Iterable, Sequence, Union
 
-from .errors import ConventionMismatchError
 from .poly import Basis, MomentPolynomial, _power, sum_of_products
-
-
-class Convention(Enum):
-    PLAIN_EGF = "plain-egf"
-    F_CONVENTION = "f-convention"
 
 
 Coefflike = Union[MomentPolynomial, int, Fraction]
@@ -65,13 +53,13 @@ Scaled = tuple[MomentPolynomial, ...]
 class TruncatedEGF:
     """Truncated formal power series in t; immutable.
 
-    ``TruncatedEGF(coeffs, convention)`` takes the plain coefficients a_n of
+    ``TruncatedEGF(coeffs)`` takes the plain coefficients a_n of
     t^0 .. t^order; the series stores n! * a_n (see the module docstring).
     """
 
-    __slots__ = ("_s", "_convention", "_coeffs")
+    __slots__ = ("_s", "_coeffs")
 
-    def __init__(self, coeffs: Sequence[MomentPolynomial], convention: Convention):
+    def __init__(self, coeffs: Sequence[MomentPolynomial]):
         coeffs = tuple(coeffs)
         if not coeffs:
             raise ValueError("a series needs at least the t^0 coefficient")
@@ -80,20 +68,14 @@ class TruncatedEGF:
             if c.basis is not basis:
                 raise ValueError("series coefficients must share a basis")
         self._s = tuple(factorial(n) * c for n, c in enumerate(coeffs))
-        self._convention = convention
         self._coeffs = coeffs
 
-    @classmethod
-    def _scaled(cls, s: Scaled, convention: Convention) -> "TruncatedEGF":
+    def _like(self, s: Iterable[MomentPolynomial]) -> "TruncatedEGF":
         """Trusted constructor from scaled coefficients of one basis."""
-        series = object.__new__(cls)
-        series._s = s
-        series._convention = convention
+        series = object.__new__(TruncatedEGF)
+        series._s = tuple(s)
         series._coeffs = None
         return series
-
-    def _like(self, s: Iterable[MomentPolynomial]) -> "TruncatedEGF":
-        return TruncatedEGF._scaled(tuple(s), self._convention)
 
     # -- state -------------------------------------------------------------
 
@@ -105,10 +87,6 @@ class TruncatedEGF:
                 s if n < 2 else s._divided(factorial(n)) for n, s in enumerate(self._s)
             )
         return self._coeffs
-
-    @property
-    def convention(self) -> Convention:
-        return self._convention
 
     @property
     def order(self) -> int:
@@ -128,20 +106,16 @@ class TruncatedEGF:
             raise ValueError("cannot extend a truncated series")
         return self._like(self._s[: order + 1])
 
-    def with_convention(self, convention: Convention) -> "TruncatedEGF":
-        """Retag the series; the caller asserts the reinterpretation is sound."""
-        return TruncatedEGF._scaled(self._s, convention)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedEGF):
             return NotImplemented
-        return self._convention is other._convention and self._s == other._s
+        return self._s == other._s
 
     def __hash__(self) -> int:
-        return hash((self._s, self._convention))
+        return hash(self._s)
 
     def __repr__(self) -> str:
-        return f"TruncatedEGF({list(self.coeffs)!r}, {self._convention})"
+        return f"TruncatedEGF({list(self.coeffs)!r})"
 
     def _zero_poly(self) -> MomentPolynomial:
         return MomentPolynomial.zero(self.basis)
@@ -149,29 +123,20 @@ class TruncatedEGF:
     def _one_poly(self) -> MomentPolynomial:
         return MomentPolynomial.constant(1, self.basis)
 
-    def _check(self, other: "TruncatedEGF") -> None:
-        if other._convention is not self._convention:
-            raise ConventionMismatchError(
-                f"cannot combine {self._convention.value} and {other._convention.value} series"
-            )
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "TruncatedEGF") -> "TruncatedEGF":
         if not isinstance(other, TruncatedEGF):
             return NotImplemented
-        self._check(other)
         return self._like(a + b for a, b in zip(self._s, other._s))
 
     def __sub__(self, other: "TruncatedEGF") -> "TruncatedEGF":
         if not isinstance(other, TruncatedEGF):
             return NotImplemented
-        self._check(other)
         return self._like(a - b for a, b in zip(self._s, other._s))
 
     def __mul__(self, other: object) -> "TruncatedEGF":
         if isinstance(other, TruncatedEGF):
-            self._check(other)
             n = min(self.order, other.order)
             return self._like(_convolve(self._s, other._s, n, self.basis))
         if isinstance(other, (int, Fraction, MomentPolynomial)):
@@ -226,7 +191,6 @@ class TruncatedEGF:
 
     def compose(self, inner: "TruncatedEGF") -> "TruncatedEGF":
         """Substitute ``inner`` (zero constant term) for t: sum_d S_d inner^d / d!."""
-        self._check(inner)
         inner._require_zero_constant("composition")
         n = min(self.order, inner.order)
         basis = self.basis
@@ -243,11 +207,7 @@ class TruncatedEGF:
     # -- extraction --------------------------------------------------------
 
     def det_moment(self, n: int) -> MomentPolynomial:
-        """Recover f_k(n) = n!^2 * [t^n] = n! * s_n; only under F_CONVENTION."""
-        if self._convention is not Convention.F_CONVENTION:
-            raise ConventionMismatchError(
-                "det_moment needs the f-convention (coefficients f_k(n)/n!^2)"
-            )
+        """Recover f_k(n) = n!^2 * [t^n] = n! * s_n."""
         if not 0 <= n <= self.order:
             raise ValueError(f"coefficient {n} outside truncation order {self.order}")
         return factorial(n) * self._s[n]
@@ -262,7 +222,7 @@ class TruncatedEGF:
 
     def to_json_dict(self) -> dict:
         return {
-            "convention": self._convention.value,
+            "convention": "f-convention",
             "order": self.order,
             "coeffs": [[n, c.to_json_dict()] for n, c in self.to_pairs()],
         }
@@ -294,7 +254,6 @@ def _as_poly(c: Coefflike, basis: Basis) -> MomentPolynomial:
 def polynomial_in_t(
     coeffs: Sequence[Coefflike],
     order: int,
-    convention: Convention,
     basis: Basis | None = None,
 ) -> TruncatedEGF:
     """Series for a polynomial in t, zero-padded up to the truncation order."""
@@ -307,23 +266,9 @@ def polynomial_in_t(
     polys = [_as_poly(c, basis) for c in coeffs[: order + 1]]
     zero = MomentPolynomial.zero(basis)
     polys.extend([zero] * (order + 1 - len(polys)))
-    return TruncatedEGF(tuple(polys), convention)
+    return TruncatedEGF(tuple(polys))
 
 
-def constant_series(
-    value: Coefflike,
-    order: int,
-    convention: Convention,
-    basis: Basis | None = None,
-) -> TruncatedEGF:
-    return polynomial_in_t([value], order, convention, basis)
-
-
-def t_times(
-    value: Coefflike,
-    order: int,
-    convention: Convention,
-    basis: Basis | None = None,
-) -> TruncatedEGF:
+def t_times(value: Coefflike, order: int, basis: Basis | None = None) -> TruncatedEGF:
     """The series ``value * t``."""
-    return polynomial_in_t([0, value], order, convention, basis)
+    return polynomial_in_t([0, value], order, basis)

@@ -28,7 +28,7 @@ from .formulas import (
 )
 from .poly import Basis, MomentPolynomial, central_to_raw
 from .sampling import DistributionSpec, exhaustive_moment, mc_estimate
-from .series import Convention, TruncatedEGF, polynomial_in_t, t_times
+from .series import TruncatedEGF, polynomial_in_t, t_times
 from .tables import TableMode, oracle_moment
 
 MC_SEED = 20260823
@@ -253,16 +253,14 @@ def suite_series(
     # Mark-class assembly at unit variance.
     order = 10
     m1mu3 = MomentPolynomial.monomial(1, {1: 1, 3: 1}, Basis.CENTRAL)
-    pair = polynomial_in_t([1, m1mu3], order, Convention.F_CONVENTION)
+    pair = polynomial_in_t([1, m1mu3], order)
     assembled = (
         pair.pow(4) * mark_class_egf(MarkClass.ZERO, order)
         + pair.pow(2) * mark_class_egf(MarkClass.TWO, order)
         + mark_class_egf(MarkClass.FOUR, order)
     )
     F4_unit = fourth_moment_egf(order)
-    F4_unit = TruncatedEGF(
-        tuple(c.substitute(2, 1) for c in F4_unit.coeffs), F4_unit.convention
-    )
+    F4_unit = TruncatedEGF(tuple(c.substitute(2, 1) for c in F4_unit.coeffs))
     checks.append(_series_check("mark-class assembly vs F_4 at mu_2=1", F4_unit, assembled))
     checks.append(
         _series_check(
@@ -273,12 +271,9 @@ def suite_series(
         )
     )
     two_centered = TruncatedEGF(
-        tuple(c.substitute(1, 0) for c in mark_class_egf(MarkClass.TWO, order).coeffs),
-        Convention.F_CONVENTION,
+        tuple(c.substitute(1, 0) for c in mark_class_egf(MarkClass.TWO, order).coeffs)
     )
-    zero_series = polynomial_in_t(
-        [], order, Convention.F_CONVENTION, basis=Basis.CENTRAL
-    )
+    zero_series = polynomial_in_t([], order, basis=Basis.CENTRAL)
     checks.append(_series_check("mark2 class vanishes when centered", zero_series, two_centered))
 
     # Centered fourth-moment forms agree.
@@ -311,8 +306,8 @@ def suite_series(
             )
         )
 
-    # Generating-function calculus on plain EGFs.
-    t = t_times(1, 12, Convention.PLAIN_EGF, basis=Basis.RAW)
+    # Generating-function calculus on the series t.
+    t = t_times(1, 12, basis=Basis.RAW)
     derange = (t.log_geometric() - t).exp()  # SET(CYC_{>=2}) = derangements
     d4 = 24 * derange.coefficient(4).constant_term()
     checks.append(_value_check("derangements of 4", Fraction(9), d4))
@@ -320,9 +315,7 @@ def suite_series(
         _series_check("SET of CYC is SEQ", t.geometric(), t.log_geometric().exp())
     )
     mm = MomentPolynomial.monomial(1, {4: 1}, Basis.RAW) - 3
-    inner = t_times(1, 6, Convention.F_CONVENTION, basis=Basis.RAW) * t_times(
-        mm, 6, Convention.F_CONVENTION
-    ).geometric().pow(3)
+    inner = t_times(1, 6, basis=Basis.RAW) * t_times(mm, 6).geometric().pow(3)
     composed = gaussian_sixth_egf(6).compose(inner)
     checks.append(
         _value_check(

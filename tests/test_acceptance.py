@@ -28,7 +28,7 @@ from detmom.formulas import (
 )
 from detmom.poly import Basis, MomentPolynomial, central_to_raw
 from detmom.sampling import DistributionSpec, exhaustive_moment, mc_estimate
-from detmom.series import Convention, TruncatedEGF, polynomial_in_t, t_times
+from detmom.series import TruncatedEGF, polynomial_in_t, t_times
 from detmom.tables import MarkedRow, MarkedTable, PermutationTable, TableMode, oracle_moment
 from detmom.verify import MC_SAMPLES, MC_SEED
 
@@ -131,16 +131,14 @@ def criterion_3():
 
     order = 10
     m1mu3 = central(1, {1: 1, 3: 1})
-    pair = polynomial_in_t([1, m1mu3], order, Convention.F_CONVENTION)
+    pair = polynomial_in_t([1, m1mu3], order)
     assembled = (
         pair.pow(4) * mark_class_egf(MarkClass.ZERO, order)
         + pair.pow(2) * mark_class_egf(MarkClass.TWO, order)
         + mark_class_egf(MarkClass.FOUR, order)
     )
     F4_unit = fourth_moment_egf(order)
-    F4_unit = TruncatedEGF(
-        tuple(c.substitute(2, 1) for c in F4_unit.coeffs), F4_unit.convention
-    )
+    F4_unit = TruncatedEGF(tuple(c.substitute(2, 1) for c in F4_unit.coeffs))
     assert assembled == F4_unit
 
 
@@ -197,14 +195,14 @@ def criterion_7():
 
 def criterion_8():
     """Series calculus: derangements, set-of-cycles, composition associativity."""
-    t = t_times(1, 12, Convention.PLAIN_EGF, basis=Basis.RAW)
+    t = t_times(1, 12, basis=Basis.RAW)
     derange = (t.log_geometric() - t).exp()
     assert 24 * derange.coefficient(4).constant_term() == 9
     assert t.log_geometric().exp() == t.geometric()
 
     order = 10
     mk = lambda coeffs: polynomial_in_t(
-        [Fraction(c) for c in coeffs], order, Convention.PLAIN_EGF, basis=Basis.RAW
+        [Fraction(c) for c in coeffs], order, basis=Basis.RAW
     )
     a = mk([1, 1, 2, -1])
     b = mk([0, 1, 0, 1, Fraction(1, 2)])

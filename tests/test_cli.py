@@ -18,7 +18,7 @@ from detmom import verify
 from detmom.cli import main
 from detmom.errors import _count_text
 from detmom.poly import Basis, MomentPolynomial
-from detmom.series import Convention, polynomial_in_t
+from detmom.series import polynomial_in_t
 
 
 def run(capsys, *argv):
@@ -561,6 +561,12 @@ USAGE_ERRORS = [
     (("oracle", "--k", "2", "--n", "2", "--workers", "0"),
      "argument --workers: must be an integer from 1 to 2, got '0'"),
     ((), "the following arguments are required: command"),
+    (("series", "--k", "2", "--which", "f4"),
+     "argument --which: not allowed with argument --k"),
+    (("mc", "--dist", "normal", "--values=1,2", "--probs=1/2,1/2", "--k", "2", "--n", "2"),
+     "--dist normal takes no --values or --probs"),
+    (("exhaustive", "--dist", "rademacher", "--probs=1", "--k", "2", "--n", "2"),
+     "--dist rademacher takes no --values or --probs"),
 ]
 
 
@@ -584,7 +590,7 @@ def test_verify_series_suite_passes(capsys):
 
 def test_verify_reports_the_first_failing_identity(capsys, monkeypatch):
     def series(*coeffs):
-        return polynomial_in_t(list(coeffs), 3, Convention.PLAIN_EGF, basis=Basis.RAW)
+        return polynomial_in_t(list(coeffs), 3, basis=Basis.RAW)
 
     def suite(**kwargs):
         return verify.VerificationReport("series", [

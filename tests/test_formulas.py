@@ -31,22 +31,18 @@ from detmom.poly import (
     central_to_raw,
     raw_symbol,
 )
-from detmom.series import Convention, TruncatedEGF, polynomial_in_t, t_times
+from detmom.series import TruncatedEGF, polynomial_in_t, t_times
 
 GAUSSIAN_CENTRAL = {2: Fraction(1), 3: Fraction(0), 4: Fraction(3),
                     5: Fraction(0), 6: Fraction(15)}
 
 
 def centered(series: TruncatedEGF) -> TruncatedEGF:
-    return TruncatedEGF(
-        tuple(c.substitute(1, 0) for c in series.coeffs), series.convention
-    )
+    return TruncatedEGF(tuple(c.substitute(1, 0) for c in series.coeffs))
 
 
 def at_unit_variance(series: TruncatedEGF) -> TruncatedEGF:
-    return TruncatedEGF(
-        tuple(c.substitute(2, 1) for c in series.coeffs), series.convention
-    )
+    return TruncatedEGF(tuple(c.substitute(2, 1) for c in series.coeffs))
 
 
 # -- second moment ---------------------------------------------------------
@@ -147,9 +143,7 @@ def test_sixth_moment_seed_composition_linear_coefficient():
     # series and reading the linear coefficient at the Gaussian point gives
     # the count 15 of pairings of six symbols.
     mm = raw_symbol(4) * raw_symbol(2) - 3 * raw_symbol(2) ** 3
-    inner = t_times(
-        raw_symbol(2) ** 3, 4, Convention.F_CONVENTION
-    ) * t_times(mm, 4, Convention.F_CONVENTION).geometric().pow(3)
+    inner = t_times(raw_symbol(2) ** 3, 4) * t_times(mm, 4).geometric().pow(3)
     composed = gaussian_sixth_egf(4).compose(inner)
     lin = composed.coefficient(1)
     assert lin.evaluate({2: 1, 3: 0, 4: 3, 5: 0, 6: 15}, 0) == 15
@@ -264,7 +258,7 @@ def test_builders_refuse_the_packing_limit_before_any_work(k, builder):
 def test_mark_class_assembly_recovers_fourth_moment():
     order = 8
     m1mu3 = MomentPolynomial.monomial(1, {1: 1, 3: 1}, Basis.CENTRAL)
-    pair = polynomial_in_t([1, m1mu3], order, Convention.F_CONVENTION)
+    pair = polynomial_in_t([1, m1mu3], order)
     assembled = (
         pair.pow(4) * mark_class_egf(MarkClass.ZERO, order)
         + pair.pow(2) * mark_class_egf(MarkClass.TWO, order)

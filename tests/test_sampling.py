@@ -124,7 +124,7 @@ def test_ints_numpy_ints_and_fractions_stay_exact():
 def test_finite_flag():
     assert RADEMACHER.finite
     assert not NORMAL.finite
-    assert RADEMACHER.kind is DistKind.RADEMACHER
+    assert RADEMACHER == DistributionSpec.discrete([-1, 1], [Fraction(1, 2)] * 2)
 
 
 # -- exact determinants ----------------------------------------------------

@@ -9,22 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detmom.errors import ConventionMismatchError
 from detmom.poly import Basis, MomentPolynomial, raw_symbol
-from detmom.series import (
-    Convention,
-    TruncatedEGF,
-    constant_series,
-    polynomial_in_t,
-    t_times,
-)
+from detmom.series import TruncatedEGF, polynomial_in_t, t_times
 
 
-def rational_series(coeffs, order=None, convention=Convention.PLAIN_EGF):
+def rational_series(coeffs, order=None):
     """A series with constant (symbol-free) coefficients, padded to order."""
     order = len(coeffs) - 1 if order is None else order
     polys = [Fraction(c) for c in coeffs]
-    return polynomial_in_t(polys, order, convention, basis=Basis.RAW)
+    return polynomial_in_t(polys, order, basis=Basis.RAW)
 
 
 def exp_t(order):
@@ -64,9 +57,9 @@ def test_truncate_drops_high_coefficients():
 
 
 def test_constant_series_and_t_times():
-    one = constant_series(1, 3, Convention.PLAIN_EGF, Basis.RAW)
+    one = polynomial_in_t([1], 3, Basis.RAW)
     assert numbers(one) == [1, 0, 0, 0]
-    t = t_times(raw_symbol(2), 3, Convention.PLAIN_EGF)
+    t = t_times(raw_symbol(2), 3)
     assert t.coefficient(0).is_zero
     assert t.coefficient(1) == raw_symbol(2)
     assert t.coefficient(2).is_zero and t.coefficient(3).is_zero
@@ -105,15 +98,6 @@ def test_pow_matches_repeated_product():
 
 def test_pow_zero_is_one():
     assert numbers(geom_t(4).pow(0)) == [1, 0, 0, 0, 0]
-
-
-def test_mixed_convention_arithmetic_is_an_error():
-    a = rational_series([1, 1], convention=Convention.PLAIN_EGF)
-    b = rational_series([1, 1], convention=Convention.F_CONVENTION)
-    with pytest.raises(ConventionMismatchError):
-        a + b
-    with pytest.raises(ConventionMismatchError):
-        a * b
 
 
 # -- exp, geometric, log ---------------------------------------------------
@@ -230,23 +214,18 @@ def test_exp_then_log_geometric_round_trip(a):
 
 def test_det_moment_divides_out_the_double_factorial_normalization():
     coeffs = [Fraction(1), Fraction(1, 2), Fraction(5, 12)]
-    s = rational_series(coeffs, convention=Convention.F_CONVENTION)
+    s = rational_series(coeffs)
     assert s.det_moment(2) == MomentPolynomial.constant(
         factorial(2) ** 2 * Fraction(5, 12), Basis.RAW
     )
 
 
-def test_det_moment_refuses_plain_convention():
-    s = exp_t(4)
-    with pytest.raises(ConventionMismatchError):
-        s.det_moment(2)
-    assert s.with_convention(Convention.F_CONVENTION).det_moment(0) == (
-        MomentPolynomial.constant(1, Basis.RAW)
-    )
+def test_det_moment_reads_any_series():
+    assert exp_t(4).det_moment(0) == MomentPolynomial.constant(1, Basis.RAW)
 
 
 def test_json_round_trip_of_series():
-    s = rational_series([1, 2, 3], convention=Convention.F_CONVENTION)
+    s = rational_series([1, 2, 3])
     data = s.to_json_dict()
     assert data["convention"] == "f-convention"
     assert data["order"] == 2
@@ -338,26 +317,17 @@ def polys(draw, max_terms=3):
 
 
 @st.composite
-def series(draw, order=None, zero_constant=False, convention=None, max_terms=3):
+def series(draw, order=None, zero_constant=False, max_terms=3):
     order = draw(st.integers(min_value=0, max_value=10)) if order is None else order
-    convention = draw(st.sampled_from(Convention)) if convention is None else convention
     coeffs = [draw(polys(max_terms)) for _ in range(order + 1)]
     if zero_constant:
         coeffs[0] = MomentPolynomial.zero(Basis.RAW)
-    return TruncatedEGF(tuple(coeffs), convention)
-
-
-@st.composite
-def series_pairs(draw, **kwargs):
-    a = draw(series(**kwargs))
-    b = draw(series(convention=a.convention, **kwargs))
-    return a, b
+    return TruncatedEGF(tuple(coeffs))
 
 
 @settings(max_examples=50, deadline=None)
-@given(series_pairs())
-def test_scaled_product_matches_the_reference(pair):
-    a, b = pair
+@given(series(), series())
+def test_scaled_product_matches_the_reference(a, b):
     assert (a * b).coeffs == ref_mul(a.coeffs, b.coeffs)
 
 
@@ -372,35 +342,29 @@ def test_scaled_species_constructions_match_the_reference(s):
 @settings(max_examples=40, deadline=None)
 @given(series(max_terms=2), series(zero_constant=True, max_terms=2))
 def test_scaled_compose_matches_horner(outer, inner):
-    inner = inner.with_convention(outer.convention)
     assert outer.compose(inner).coeffs == ref_compose(outer.coeffs, inner.coeffs)
 
 
 @settings(max_examples=40, deadline=None)
 @given(series(), scalars, st.integers(min_value=0, max_value=10))
-def test_scaled_scalar_truncate_and_retag(s, c, order):
+def test_scaled_scalar_and_truncate(s, c, order):
     assert (s * c).coeffs == tuple(p * c for p in s.coeffs)
     assert (c * s) == s * c
     if order <= s.order:
         assert s.truncate(order).coeffs == s.coeffs[: order + 1]
-    other = next(conv for conv in Convention if conv is not s.convention)
-    retagged = s.with_convention(other)
-    assert retagged.convention is other and retagged.coeffs == s.coeffs
-    assert retagged != s
 
 
 @settings(max_examples=40, deadline=None)
 @given(series())
 def test_plain_coefficients_round_trip(s):
     coeffs = s.coeffs
-    again = TruncatedEGF(coeffs, s.convention)
+    again = TruncatedEGF(coeffs)
     assert again.coeffs == coeffs
     assert again == s and hash(again) == hash(s)
     assert [s.coefficient(n) for n in range(s.order + 1)] == list(coeffs)
     assert (s.order, s.basis) == (len(coeffs) - 1, Basis.RAW)
-    f = s.with_convention(Convention.F_CONVENTION)
     for n in range(s.order + 1):
-        assert f.det_moment(n) == factorial(n) ** 2 * s.coefficient(n)
+        assert s.det_moment(n) == factorial(n) ** 2 * s.coefficient(n)
 
 
 def test_series_differing_in_one_coefficient_are_unequal():
