@@ -16,6 +16,14 @@ verification failure, 2 budget refusal, 64 usage error or a Monte-Carlo
 sum beyond float64 range, 141 stdout closed early (a pipe into ``head``).
 The environment variable ``DETMOM_BUDGET`` overrides the default budgets
 of ``oracle``, ``exhaustive`` and ``mc``.
+
+Importing this module sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``
+and ``MKL_NUM_THREADS`` to 1 where they are unset, before numpy loads.  An
+idle OpenBLAS worker thread would otherwise spin while each command starts
+and runs.  detmom's only LAPACK calls are batched determinants of matrices
+of at most 60x60, which OpenBLAS runs on one thread anyway, and its parallel
+work runs in its own process pool (``--workers``).  A value already set in
+the environment is kept.
 """
 
 from __future__ import annotations
@@ -26,6 +34,10 @@ import os
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
+
+# Before `.sampling` imports numpy, which starts OpenBLAS (module docstring).
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from .errors import BudgetExceededError
 from .formulas import (

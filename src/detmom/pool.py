@@ -4,12 +4,14 @@ A job is a module-level ``fn(shared, lo, hi, progress=None)`` over the
 items lo .. hi-1 that calls ``progress(done, hi - lo)`` after each of its
 blocks; `map_ranges` runs it in this process or over contiguous ranges in
 a pool.
+
+Only a run that starts a pool imports `concurrent.futures`' process pool,
+and with it `multiprocessing`; a run in this process loads neither.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Optional
 
 # The (fn, shared) of a pool worker process, set once by `_start_worker`.
@@ -39,6 +41,8 @@ def map_ranges(fn, shared, count: int, workers: int, progress=None) -> list:
     workers = min(workers, count, os.cpu_count() or 1)
     if workers <= 1:
         return [fn(shared, 0, count, progress)]
+    from concurrent.futures import ProcessPoolExecutor
+
     chunks = min(count, 4 * workers)
     bounds = [(i * count) // chunks for i in range(chunks + 1)]
     ranges = list(zip(bounds, bounds[1:]))

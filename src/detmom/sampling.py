@@ -82,16 +82,18 @@ BLOCK_SIZE = 4096
 # one call, so the parts change no estimate.
 PART_ENTRIES = 2**16
 # Monte-Carlo work, in samples * n^3, from which a pool of 2 workers beats the
-# serial draw, a draw through the determinant table included.  Measured on 2
-# vCPUs, serial against pooled `mc_estimate` through `pool.map_ranges`, each
-# in a fresh interpreter, median of 11 alternating pairs: +-1 entries, n = 8,
-# 12,288 samples (6.3M) 42 / 89 ms, 32,768 (16.8M) 100 / 87 ms; n = 12, 8192
-# (14M) 83 / 75 ms, and 117 / 91 ms for |entry| <= 2; normal entries, n = 8,
-# 20,000 (10M) 78 / 77 ms, 40,000 (20M) 137 / 118 ms.  Through the table,
-# with workers that inherit numpy.random (two sets of 11 pairs): +-1
-# entries, n = 3, 2x10^5 samples (5.4M) 34-36 / 34-35 ms, 444,445 (12M)
-# 55-59 / 52-57 ms, 10^6 (27M) 95-110 / 85-89 ms.
-_PARALLEL_THRESHOLD = 12_000_000
+# serial draw, a draw through the determinant table included.  Serial against
+# pooled `mc_estimate`, each in a fresh interpreter after `import detmom.cli`,
+# median of 11 alternating pairs on 2 free vCPUs, with the process pool
+# already imported: |entry| <= 2, n = 12, 8192 samples (14.2M) 60 / 56 ms,
+# 16,384 (28.3M) 101 / 79 ms; normal, n = 8, 40,000 (20.5M) 96 / 76 ms; +-1,
+# n = 8, 32,768 (16.8M) 89 / 98 ms, 65,536 (33.6M) 185 / 121 ms; through the
+# table at n = 3, 10^6 (27M) 94 / 75 ms.  A pooled draw also imports the pool
+# (`concurrent.futures`, with `multiprocessing`; 17-22 ms alone, 11-28 ms more
+# per pooled draw in paired runs), which moves the break-even from about 14M
+# to about 28M.  With the second vCPU taken by other load, the pool lost every
+# pair from 14.2M to 51M (8 to 18 pairs each).
+_PARALLEL_THRESHOLD = 32_000_000
 DEFAULT_SAMPLES = 10**6
 DEFAULT_EXHAUSTIVE_BUDGET = 10**6
 DEFAULT_MC_BUDGET = 10**8

@@ -86,8 +86,14 @@ DEFAULT_BUDGET = 10**8
 # (~130-170 ns each) 100,800 17 / 32 ms, 1.66M 277 / 158 ms, 5.7M
 # 753 / 412 ms; marked ones (~45 ns each at k = 4) 864,000 39 / 44 ms,
 # 2.3M (k = 5) 176 / 117 ms.  With about 20-35 ms to start the pool, plain
-# tables break even near 0.3-0.5M and marked ones near 1M.
-_PARALLEL_THRESHOLD = 800_000
+# tables break even near 0.3-0.5M and marked ones near 1M.  A pooled run also
+# imports the pool (`concurrent.futures`, with `multiprocessing`, 17-22 ms).
+# Median of 9 rounds on 2 vCPUs, serial / pooled: 864,000 marked tables
+# (k = 4, n = 4) 50 / 83 ms with the pool imported beforehand and 50 / 97 ms
+# with the import in the pooled run, the pool losing every round either way;
+# 2.3M marked tables 177 / 158 ms with the import, the pool winning 6 of 9.
+# For k <= 16 no other table count lies between 800,000 and 1M.
+_PARALLEL_THRESHOLD = 1_000_000
 # Tables per block of the vectorised kernel.  At 2^15 each int64 temporary
 # (256 KB) is a fresh mmap whose page faults cost more than the arithmetic.
 BLOCK_SIZE = 1 << 14

@@ -2,19 +2,22 @@
 
 from __future__ import annotations
 
+import concurrent.futures
+
 import pytest
 
 
 @pytest.fixture
 def inline_pool(monkeypatch):
-    """Swap a module's `ProcessPoolExecutor` for one that starts no process.
+    """Swap `concurrent.futures.ProcessPoolExecutor`, which `pool.map_ranges`
+    imports when it starts a pool, for one that starts no process.
 
-    ``inline_pool(module)`` installs it and returns the list of the
-    ``max_workers`` of every pool the module then asks for; the jobs run
-    in this process, in order.
+    ``inline_pool()`` installs it and returns the list of the
+    ``max_workers`` of every pool then asked for; the jobs run in this
+    process, in order.
     """
 
-    def install(module) -> list:
+    def install() -> list:
         starts = []
 
         class InlinePool:
@@ -32,7 +35,7 @@ def inline_pool(monkeypatch):
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(module, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         return starts
 
     return install

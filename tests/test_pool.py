@@ -32,7 +32,7 @@ def test_one_worker_is_one_call_in_this_process_with_the_progress(
     # One worker is counted after the caps at the CPU count and at count;
     # the job itself reports after each of its blocks.
     monkeypatch.setattr("os.cpu_count", lambda: cpus)
-    starts = inline_pool(pool)
+    starts = inline_pool()
     calls = []
 
     def job(shared, lo, hi, progress=None):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import functools
 import itertools
 import math
@@ -711,7 +712,7 @@ def pool_starts(monkeypatch):
             starts.append(max_workers)
             super().__init__(max_workers=max_workers, **kwargs)
 
-    monkeypatch.setattr(pool, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return starts
 
 
@@ -750,7 +751,7 @@ def test_a_pooled_draw_on_one_cpu_is_one_call_that_reports_every_block(
     serial = mc_estimate(dist, 2, 4, samples=samples, seed=2)
     monkeypatch.setattr(sampling, "_PARALLEL_THRESHOLD", 0)
     monkeypatch.setattr("os.cpu_count", lambda: 1)
-    starts = inline_pool(pool)
+    starts = inline_pool()
     calls = []
     draw = getattr(sampling, job)
 
@@ -782,22 +783,22 @@ def test_mc_normal_is_reproducible_and_worker_independent(monkeypatch, pool_star
 
 
 def test_mc_pools_only_past_the_break_even(pool_starts):
-    # 5 blocks at n = 8 (10.5M units of samples * n^3) run faster serially,
-    # 6 blocks (12.6M) reach the break-even.  A draw through the determinant
-    # table follows the same rule: 2x10^5 samples at n = 3 (5.4M) stay
-    # serial, 10^6 (27M) pool.
-    mc_estimate(RADEMACHER, 2, 8, samples=5 * sampling.BLOCK_SIZE, seed=0, workers=2)
-    mc_estimate(RADEMACHER, 2, 3, samples=2 * 10**5, seed=0, workers=2)
-    assert pool_starts == []
-    mc_estimate(RADEMACHER, 2, 8, samples=6 * sampling.BLOCK_SIZE, seed=0, workers=2)
+    # 15 blocks at n = 8 (31.5M units of samples * n^3) run faster serially,
+    # 16 blocks (33.6M) reach the break-even.  A draw through the determinant
+    # table follows the same rule: 10^6 samples at n = 3 (27M) stay serial,
+    # 1.2x10^6 (32.4M) pool.
+    mc_estimate(RADEMACHER, 2, 8, samples=15 * sampling.BLOCK_SIZE, seed=0, workers=2)
     mc_estimate(RADEMACHER, 2, 3, samples=10**6, seed=0, workers=2)
+    assert pool_starts == []
+    mc_estimate(RADEMACHER, 2, 8, samples=16 * sampling.BLOCK_SIZE, seed=0, workers=2)
+    mc_estimate(RADEMACHER, 2, 3, samples=12 * 10**5, seed=0, workers=2)
     assert pool_starts == [2, 2]
 
 
 def test_mc_pool_starts_no_more_processes_than_blocks(monkeypatch, inline_pool):
     monkeypatch.setattr(sampling, "_PARALLEL_THRESHOLD", 0)
     monkeypatch.setattr("os.cpu_count", lambda: 64)
-    starts = inline_pool(pool)
+    starts = inline_pool()
     serial = mc_estimate(RADEMACHER, 2, 2, samples=POOLED_SAMPLES, seed=11)
     pooled = mc_estimate(RADEMACHER, 2, 2, samples=POOLED_SAMPLES, seed=11, workers=500)
     # Three blocks, so three processes at most.
@@ -811,7 +812,7 @@ def test_mc_pool_sends_the_law_once_and_only_bounds_per_task(monkeypatch):
     monkeypatch.setattr(pool, "_worker_job", None)
     inits, tasks = [], []
 
-    class RecordingPool(pool.ProcessPoolExecutor):
+    class RecordingPool(ProcessPoolExecutor):
         def __init__(self, max_workers, initializer, initargs):
             inits.append(initargs)
             super().__init__(max_workers, initializer=initializer, initargs=initargs)
@@ -821,7 +822,7 @@ def test_mc_pool_sends_the_law_once_and_only_bounds_per_task(monkeypatch):
             tasks.extend(jobs)
             return super().map(fn, jobs)
 
-    monkeypatch.setattr(pool, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     law = discrete(["-1", "0", "1"], ["1/4", "1/2", "1/4"])
     samples = 25 * sampling.BLOCK_SIZE + 7
     serial = mc_estimate(law, 2, 4, samples=samples, seed=5)
@@ -842,7 +843,7 @@ def test_mc_pool_sends_the_law_once_and_only_bounds_per_task(monkeypatch):
 def test_mc_pool_starts_no_more_processes_than_cpus(monkeypatch, inline_pool, cpus, want):
     monkeypatch.setattr(sampling, "_PARALLEL_THRESHOLD", 0)
     monkeypatch.setattr("os.cpu_count", lambda: cpus)
-    starts = inline_pool(pool)
+    starts = inline_pool()
     serial = mc_estimate(RADEMACHER, 2, 2, samples=POOLED_SAMPLES, seed=11)
     pooled = mc_estimate(RADEMACHER, 2, 2, samples=POOLED_SAMPLES, seed=11, workers=500)
     assert starts == want
@@ -892,7 +893,7 @@ def test_determinant_table_matches_the_kernel(monkeypatch, inline_pool, law, poo
         return None
 
     monkeypatch.setattr("os.cpu_count", lambda: 4)
-    starts = inline_pool(pool)
+    starts = inline_pool()
     workers = 2 if pooled else 1
     if pooled:
         monkeypatch.setattr(sampling, "_PARALLEL_THRESHOLD", 0)

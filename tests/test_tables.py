@@ -325,7 +325,7 @@ def test_pool_starts_no_more_processes_than_chunks(monkeypatch, inline_pool):
     monkeypatch.setattr(tables, "_PARALLEL_THRESHOLD", 0)
     monkeypatch.setattr(pool, "_worker_job", None)
     monkeypatch.setattr("os.cpu_count", lambda: 64)
-    starts = inline_pool(pool)
+    starts = inline_pool()
     # p(4) = 5 tables make 5 chunks, whatever the worker count asked for.
     assert oracle_moment(2, 4, workers=500) == second_moment(4)
     assert starts == [5]
@@ -336,7 +336,7 @@ def test_pool_starts_no_more_processes_than_cpus(monkeypatch, inline_pool, cpus,
     monkeypatch.setattr(tables, "_PARALLEL_THRESHOLD", 0)
     monkeypatch.setattr(pool, "_worker_job", None)
     monkeypatch.setattr("os.cpu_count", lambda: cpus)
-    starts = inline_pool(pool)
+    starts = inline_pool()
     # p(6) = 11 tables: a pool of 2 takes 8 chunks.
     assert oracle_moment(2, 6, workers=500) == second_moment(6)
     assert starts == want
@@ -378,7 +378,7 @@ def test_a_pooled_oracle_on_one_cpu_is_one_call_that_reports_every_block(
     serial = oracle_moment(4, 3)
     monkeypatch.setattr(tables, "_PARALLEL_THRESHOLD", 0)
     monkeypatch.setattr("os.cpu_count", lambda: 1)
-    starts = inline_pool(pool)
+    starts = inline_pool()
     calls = []
     accumulate = tables._accumulate_range
 
