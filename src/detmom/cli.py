@@ -39,7 +39,7 @@ from typing import Optional, Sequence
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, _check_kn
 from .formulas import (
     MarkClass,
     fourth_moment,
@@ -86,15 +86,6 @@ def _budget(args: argparse.Namespace) -> Optional[int]:
     if budget is not None and budget < 0:
         raise UsageError(f"the budget must be nonnegative, got {budget}")
     return budget
-
-
-def _check_kn(k: int, n: Optional[int] = None, order: Optional[int] = None) -> None:
-    if k < 1:
-        raise UsageError("k must be at least 1")
-    if n is not None and n < 0:
-        raise UsageError("n must be nonnegative")
-    if order is not None and not 0 <= order <= MAX_SERIES_ORDER:
-        raise UsageError(f"order must be between 0 and {MAX_SERIES_ORDER}")
 
 
 def _worker_count(text: str) -> int:
@@ -185,7 +176,9 @@ def _cmd_closed(args: argparse.Namespace) -> int:
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
-    _check_kn(args.k or 2, order=args.order)
+    _check_kn(args.k or 2)
+    if not 0 <= args.order <= MAX_SERIES_ORDER:
+        raise UsageError(f"order must be between 0 and {MAX_SERIES_ORDER}")
     which = args.which
     if which is None:
         if args.k == 2:

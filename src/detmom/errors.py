@@ -1,6 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks that raise them.
+
+`_check_kn` and `_check_budget` are the one refusal of a bad moment order
+or matrix size and of work over its budget, for the CLI and the library.
+"""
 
 import math
+from typing import Optional
 
 
 class BasisMismatchError(ValueError):
@@ -51,3 +56,20 @@ def _count_text(count: int) -> str:
         elif count >= 10**digits:
             digits += 1
         return f"a {digits}-digit number of"
+
+
+def _check_kn(k: int, n: Optional[int] = None) -> None:
+    """Refuse a moment order k below 1, or a matrix size n below 0."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if n is not None and n < 0:
+        raise ValueError("n must be nonnegative")
+
+
+def _check_budget(
+    required: int, budget: Optional[int], default: int, what: str, unit: str
+) -> None:
+    """Refuse ``required`` units of work over ``budget`` (None: ``default``)."""
+    budget = default if budget is None else budget
+    if required > budget:
+        raise BudgetExceededError(required, budget, what, unit)

@@ -41,6 +41,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
+from .errors import _check_kn
 from .poly import (
     Basis,
     MomentPolynomial,
@@ -56,8 +57,7 @@ from .series import TruncatedEGF, polynomial_in_t, t_times
 
 def _check_weight(k: int, n: int) -> None:
     """Refuse E[det^k] at size n before any work if its weight k*n cannot pack."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _check_kn(k, n)
     _check_limit(k * n)
 
 
@@ -109,8 +109,7 @@ def gaussian_det_moment(k: int, n: int) -> Fraction:
     """E[det(A)^k] for standard normal entries: prod_j (n+2j)!/(2j)!, j < k/2."""
     if k < 2 or k % 2:
         raise ValueError("the Gaussian product form needs an even k >= 2")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _check_kn(k, n)
     out = Fraction(1)
     for j in range(k // 2):
         out *= Fraction(factorial(n + 2 * j), factorial(2 * j))

@@ -29,9 +29,10 @@ Monte-Carlo sums add det^k once per distinct determinant of a block.  Both
 are exact rationals; only the final estimate is floated.  When a law with
 s support values has no more than `BLOCK_SIZE` (and no more than the
 sample count) matrices, s^(n^2), the Monte-Carlo draw first takes every
-matrix's determinant once, in the order of `_index_block` codes
-(`_det_table`); a block then only reads its matrices' codes off the drawn
-indices, looks up their determinants and counts them with `np.bincount`.
+matrix's determinant once, in the order of the matrix codes that
+`tables._digits` decodes (`_det_table`); a block then only reads its
+matrices' codes off the drawn indices, looks up their determinants and
+counts them with `np.bincount`.
 Standard normal entries use floating LU determinants and compensated block
 summation; a sum that overflows float64 raises `OverflowError` instead of
 reporting ``inf``.
@@ -63,7 +64,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import _check_budget, _check_kn
 from .formulas import (
     _fourth_moment,
     _second_moment,
@@ -73,6 +74,7 @@ from .formulas import (
 )
 from .poly import Rational, _central_in_raw, _rational
 from .pool import map_ranges
+from .tables import _add_grouped, _digits
 
 BLOCK_SIZE = 4096
 # Matrix entries a Monte-Carlo block draws and eliminates at once (`_parts`).
@@ -302,26 +304,15 @@ def _integer_support(dist: DistributionSpec) -> tuple[int, np.ndarray]:
 # -- exhaustive averages ---------------------------------------------------
 
 
-def _index_block(start: int, count: int, s: int, cells: int) -> np.ndarray:
-    """Support indices of matrices start .. start+count-1, as (count, cells).
-
-    Matrix number c takes the base-s digits of c as its entries' indices.
-    """
-    codes = np.arange(start, start + count, dtype=np.int64)
-    idx = np.empty((count, cells), dtype=np.int64)
-    for j in range(cells - 1, -1, -1):
-        codes, idx[:, j] = np.divmod(codes, s)
-    return idx
-
-
 def _det_table(support: np.ndarray, n: int) -> tuple[list[int], np.ndarray]:
     """The distinct determinants of all n x n matrices over ``support``.
 
-    Returns them sorted, with, for every matrix code of `_index_block`, the
-    position of its determinant among them.
+    Returns them sorted, with, for every matrix code, the position of its
+    determinant among them.  Matrix number c takes the base-s digits of c
+    (`tables._digits`) as its entries' support indices, row by row.
     """
     total = len(support) ** (n * n)
-    idx = _index_block(0, total, len(support), n * n).reshape(total, n, n)
+    idx = _digits(0, total, (len(support),) * (n * n)).T.reshape(total, n, n)
     values, ids = np.unique(_gather_dets(support, idx), return_inverse=True)
     return values.tolist(), ids.reshape(-1)
 
@@ -364,24 +355,21 @@ def exhaustive_moment(
     n! orderings: it weighs n! times the product of its rows'
     probabilities.  Those are integers over one common denominator D, so
     the division by D^(n^2) happens once, at the end.  The sets come from
-    `_row_sets` over the rows of `_index_block`, their determinants from
-    `_gather_dets`.  The weights are summed per distinct determinant of
-    each block, those sums merged across blocks, and det^k taken once per
-    distinct determinant.  The budget counts matrices, s^(n^2), and is
-    checked first.
+    `_row_sets` over the rows that `tables._digits` decodes in base s, their
+    determinants from `_gather_dets`.  The weights are summed per distinct
+    determinant of each block and merged across blocks
+    (`tables._add_grouped`), and det^k is taken once per distinct
+    determinant.  The budget counts matrices, s^(n^2), and is checked first.
     """
     if not dist.finite:
         raise ValueError("exhaustive averaging needs a finite support")
-    if k < 1 or n < 0:
-        raise ValueError("need k >= 1 and n >= 0")
-    budget = DEFAULT_EXHAUSTIVE_BUDGET if budget is None else budget
+    _check_kn(k, n)
     s = len(dist.values)
     cells = n * n
-    total = s**cells
-    if total > budget:
-        raise BudgetExceededError(
-            total, budget, f"exhaustive average for n={n}", unit="matrices"
-        )
+    _check_budget(
+        s**cells, budget, DEFAULT_EXHAUSTIVE_BUDGET, f"exhaustive average for n={n}",
+        "matrices",
+    )
     if k % 2 and n >= 2:
         return Fraction(0)
 
@@ -390,17 +378,13 @@ def exhaustive_moment(
     # All set weights together sum to at most denom^(n^2).
     dtype = np.int64 if denom**cells < 2**63 else object
     numer = [p.numerator * (denom // p.denominator) for p in dist.probs]
-    rows = _index_block(0, s**n, s, n)
+    rows = _digits(0, s**n, (s,) * n).T
     row_weights = np.array(numer, dtype=dtype)[rows].prod(axis=1)
 
     weights: dict[int, int] = {}
     for chosen in _row_sets(s**n, n):
         dets = _gather_dets(support, rows[chosen])
-        found, which = np.unique(dets, return_inverse=True)
-        sums = np.zeros(len(found), dtype=dtype)
-        np.add.at(sums, which, row_weights[chosen].prod(axis=1))
-        for d, w in zip(found.tolist(), sums.tolist()):
-            weights[d] = weights.get(d, 0) + w
+        _add_grouped(weights, dets, row_weights[chosen].prod(axis=1))
     # Fewer than n distinct rows leave no set: every matrix repeats a row.
     acc = sum(w * d**k for d, w in weights.items())
     return Fraction(math.factorial(n) * acc, denom**cells * scale ** (n * k))
@@ -423,8 +407,7 @@ def exact_moment_target(dist: DistributionSpec, k: int, n: int) -> Optional[Frac
     about 0.1 s at n = 100 and 0.3 s at n = 200, and k = 4 about 0.02 s at
     n = 100.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _check_kn(k, n)
     if n == 0:
         return Fraction(1)
     if dist.kind is DistKind.STD_NORMAL and k % 2 == 0:
@@ -432,7 +415,8 @@ def exact_moment_target(dist: DistributionSpec, k: int, n: int) -> Optional[Frac
     m = exact_moments(dist, max(k, 6))
     mean = m[1]
     if k == 1:
-        return mean**n * _perm_sum_sign(n)
+        # E[det A] = m_1^n * (sum of the signs of all permutations).
+        return mean if n == 1 else Fraction(0)
     if k == 2:
         return _second_moment(n, mean, m[2])
     if k == 4:
@@ -441,11 +425,6 @@ def exact_moment_target(dist: DistributionSpec, k: int, n: int) -> Optional[Frac
     if k == 6 and mean == 0:
         return _sixth_moment_zero_mean(n, m[2], m[3], m[4], m[6])
     return None
-
-
-def _perm_sum_sign(n: int) -> Fraction:
-    # E[det A] = m_1^n * sum over permutations of the sign = 0 for n >= 2.
-    return Fraction(1) if n <= 1 else Fraction(0)
 
 
 # -- Monte Carlo -----------------------------------------------------------
@@ -535,7 +514,8 @@ def _discrete_blocks(shared: tuple, lo: int, hi: int, progress=None) -> tuple[in
     seed, samples, n, k, support, cum, uniform, table = shared
     s = len(support)
     values, ids = table or (None, None)
-    # The matrix code of `_index_block`: entry j is digit n*n-1-j in base s.
+    # The matrix code of `_det_table`: entry j is digit j of `tables._digits`,
+    # the last varying fastest.
     digits = s ** np.arange(n * n - 1, -1, -1)
 
     def part(g: np.random.Generator, m: int) -> np.ndarray:
@@ -595,13 +575,11 @@ def mc_estimate(
     """
     if samples < 2:
         raise ValueError("need at least two samples for a standard error")
-    if k < 1 or n < 0:
-        raise ValueError("need k >= 1 and n >= 0")
-    budget = DEFAULT_MC_BUDGET if budget is None else budget
-    if samples > budget:
-        raise BudgetExceededError(
-            samples, budget, f"Monte-Carlo estimate for k={k}, n={n}", unit="samples"
-        )
+    _check_kn(k, n)
+    _check_budget(
+        samples, budget, DEFAULT_MC_BUDGET, f"Monte-Carlo estimate for k={k}, n={n}",
+        "samples",
+    )
 
     # Every draw needs it: imported here, before `map_ranges` can fork, it
     # spares each pool worker its own import (36 ms, 17 ms of it CPU, per
@@ -617,11 +595,6 @@ def mc_estimate(
         )
         sum_x = _kahan_sum(x for chunk in chunks for x, _ in chunk)
         sum_xx = _kahan_sum(xx for chunk in chunks for _, xx in chunk)
-        if not (math.isfinite(sum_x) and math.isfinite(sum_xx)):
-            raise _float_overflow(k, n)
-        estimate = sum_x / samples
-        var = max(sum_xx - samples * estimate * estimate, 0.0) / (samples - 1)
-        se = math.sqrt(var / samples)
     else:
         scale, support = _integer_support(dist)
         uniform = len(set(dist.probs)) == 1
@@ -634,25 +607,26 @@ def mc_estimate(
         denom = Fraction(scale) ** (n * k)
         sum_x = Fraction(sum(p[0] for p in parts)) / denom
         sum_xx = Fraction(sum(p[1] for p in parts)) / denom**2
-        mean_fr = sum_x / samples
-        var_fr = (sum_xx - samples * mean_fr * mean_fr) / (samples - 1)
-        try:
-            estimate = float(mean_fr)
-            se = math.sqrt(max(float(var_fr), 0.0) / samples)
-        except OverflowError:
-            raise _float_overflow(k, n) from None
 
+    # Floats for normal entries, exact Fractions for a finite law, which
+    # round only here.  A sum past float64 shows as inf or nan in a float,
+    # as OverflowError from a Fraction.
+    mean = sum_x / samples
+    var = max(sum_xx - samples * mean * mean, 0) / (samples - 1)
+    try:
+        estimate = float(mean)
+        se = math.sqrt(float(var) / samples)
+        if not (math.isfinite(estimate) and math.isfinite(se)):
+            raise OverflowError
+    except OverflowError:
+        raise OverflowError(
+            f"the Monte-Carlo sums of det(A)^{k} at n={n} overflow float64; "
+            "no finite estimate can be reported"
+        ) from None
     return EstimateReport(
         estimate=estimate,
         std_error=se,
         samples=samples,
         seed=seed,
         exact_target=exact_moment_target(dist, k, n),
-    )
-
-
-def _float_overflow(k: int, n: int) -> OverflowError:
-    return OverflowError(
-        f"the Monte-Carlo sums of det(A)^{k} at n={n} overflow float64; "
-        "no finite estimate can be reported"
     )

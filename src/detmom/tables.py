@@ -59,10 +59,15 @@ table per code maps the code to the column's exponent increment, or to a
 kill (mu_1 = 0); killed tables leave the block at once. Exponent slots 0..k
 are packed into one int64 key, slot c in just enough bits for the k*n // c
 groups it can count.  The row signs are summed as integers per distinct
-(key, orbit option), with `np.unique` and `np.add.at`, and each sum is
-multiplied by its orbit option's Python-int weight once at the end: orbit
-sizes outgrow int64.  The lookup has 2^k entries, so k is at most 16, and
-the index and the packed key with its orbit option must fit in 63 bits.
+(key, orbit option) (`_add_grouped`), and each sum is multiplied by its
+orbit option's Python-int weight once at the end: orbit sizes outgrow
+int64.  The lookup has 2^k entries, so k is at most 16, and the index and
+the packed key with its orbit option must fit in 63 bits.
+
+The decoder (`_digits`) and the grouped sum also serve `detmom.sampling`:
+the exhaustive average decodes its rows with the one and sums set weights
+per distinct determinant with the other, and the Monte-Carlo determinant
+table decodes its matrices.
 """
 
 from __future__ import annotations
@@ -75,7 +80,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import _check_budget, _check_kn
 from .pool import map_ranges
 from .poly import Basis, MomentPolynomial
 
@@ -542,21 +547,35 @@ def _plan(k: int, n: int, mode: TableMode) -> _Plan:
     )
 
 
-def _digits(start: int, stop: int, radices: tuple[int, ...]) -> list[np.ndarray]:
-    """Option index of every row for the tables start .. stop-1.
+def _digits(start: int, stop: int, radices: tuple[int, ...]) -> np.ndarray:
+    """Mixed-radix digits of the codes start .. stop-1, as (len(radices), count).
 
-    Table number t takes the mixed-radix digits of t, the last row's digit
-    varying fastest.
+    Digit i of code t is row i's option index in table t (or, in
+    `detmom.sampling`, entry i's support index in matrix t); the last digit
+    varies fastest.
     """
     codes = np.arange(start, stop, dtype=np.int64)
-    digits = [codes] * len(radices)
+    digits = np.empty((len(radices), len(codes)), dtype=np.int64)
     for i in range(len(radices) - 1, 0, -1):
         # Floor division and a multiply beat np.divmod several times over.
         rest = codes // radices[i]
         digits[i] = codes - rest * radices[i]
         codes = rest
-    digits[0] = codes
+    digits[:1] = codes  # an empty slice when there are no radices (n = 0)
     return digits
+
+
+def _add_grouped(acc: dict[int, int], keys: np.ndarray, weights: np.ndarray) -> None:
+    """Add into ``acc`` the sum of ``weights`` for each distinct entry of ``keys``.
+
+    The sums are taken in the dtype of ``weights``: int64, or ``object``
+    for Python ints.
+    """
+    groups, which = np.unique(keys, return_inverse=True)
+    sums = np.zeros(len(groups), dtype=weights.dtype)
+    np.add.at(sums, which, weights)
+    for group, w in zip(groups.tolist(), sums.tolist()):
+        acc[group] = acc.get(group, 0) + w
 
 
 def _accumulate_range(
@@ -581,7 +600,7 @@ def _accumulate_range(
             key += step
             if plan.marked:
                 alive = step >= 0
-                digits = [d[alive] for d in digits]
+                digits = digits[:, alive]
                 key = key[alive]
                 if not len(key):
                     break
@@ -589,11 +608,7 @@ def _accumulate_range(
         for i, row_signs in plan.signs:
             sign *= row_signs[digits[i]]
         key |= digits[plan.orbit_axis] << plan.key_bits
-        groups, which = np.unique(key, return_inverse=True)
-        sums = np.zeros(len(groups), dtype=np.int64)
-        np.add.at(sums, which, sign)
-        for group, s in zip(groups.tolist(), sums.tolist()):
-            acc[group] = acc.get(group, 0) + s
+        _add_grouped(acc, key, sign)
         if progress:
             progress(stop - lo, hi - lo)
     return acc
@@ -616,14 +631,12 @@ def oracle_moment(
     the index range when pooled.  Results are exact and independent of
     ``workers``; a pool starts at most one process per chunk and per CPU.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    budget = DEFAULT_BUDGET if budget is None else budget
+    _check_kn(k, n)
     total = table_count(k, n, mode)
-    if total > budget:
-        raise BudgetExceededError(total, budget, f"table enumeration for k={k}, n={n}")
+    _check_budget(
+        total, budget, DEFAULT_BUDGET, f"table enumeration for k={k}, n={n}",
+        "weight evaluations",
+    )
     _check_kernel_limits(k, n, mode, total)
 
     plan = _plan(k, n, mode)

@@ -30,7 +30,7 @@ from detmom.formulas import (
     sixth_moment_zero_mean,
 )
 from detmom.poly import MomentPolynomial, central_to_raw
-from detmom import pool, sampling
+from detmom import pool, sampling, tables
 from detmom.sampling import (
     DistKind,
     DistributionSpec,
@@ -548,6 +548,62 @@ def test_mc_budget_refusal_happens_before_any_sampling(monkeypatch):
         mc_estimate(RADEMACHER, 2, 2, samples=101, budget=100)
 
 
+# Each entry point that takes k and n, and whether its k is checked (the
+# symbolic builders take only n; the Gaussian product form has its own k).
+KN_CALLS = {
+    "oracle": (lambda k, n: tables.oracle_moment(k, n), True),
+    "exhaustive": (lambda k, n: exhaustive_moment(RADEMACHER, k, n), True),
+    "mc": (lambda k, n: mc_estimate(RADEMACHER, k, n, samples=10), True),
+    "target-normal": (lambda k, n: exact_moment_target(NORMAL, k, n), True),
+    "target-finite": (lambda k, n: exact_moment_target(RADEMACHER, k, n), True),
+    "second": (lambda k, n: second_moment(n), False),
+    "fourth": (lambda k, n: fourth_moment(n), False),
+    "sixth": (lambda k, n: sixth_moment_zero_mean(n), False),
+    "gaussian": (lambda k, n: gaussian_det_moment(2, n), False),
+}
+
+
+@pytest.mark.parametrize("name", list(KN_CALLS))
+def test_library_refuses_k_and_n_in_the_cli_wording(name):
+    call, checks_k = KN_CALLS[name]
+    if checks_k:
+        with pytest.raises(ValueError, match="^k must be at least 1$"):
+            call(0, 2)
+    with pytest.raises(ValueError, match="^n must be nonnegative$"):
+        call(2, -1)
+
+
+# Each budgeted entry point: a call taking the budget, what it counts, its
+# default budget and the message before the budget.
+BUDGET_CALLS = {
+    "oracle": (
+        lambda budget: tables.oracle_moment(4, 7, budget=budget),
+        381_024_000, tables.DEFAULT_BUDGET,
+        "table enumeration for k=4, n=7 needs 381024000 weight evaluations",
+    ),
+    "exhaustive": (
+        lambda budget: exhaustive_moment(RADEMACHER, 2, 5, budget=budget),
+        2**25, sampling.DEFAULT_EXHAUSTIVE_BUDGET,
+        "exhaustive average for n=5 needs 33554432 matrices",
+    ),
+    "mc": (
+        lambda budget: mc_estimate(RADEMACHER, 2, 8, samples=10**9, budget=budget),
+        10**9, sampling.DEFAULT_MC_BUDGET,
+        "Monte-Carlo estimate for k=2, n=8 needs 1000000000 samples",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(BUDGET_CALLS))
+def test_library_budget_refusals_keep_their_unit_and_default(name):
+    call, required, default, what = BUDGET_CALLS[name]
+    for budget, want in ((None, default), (1000, 1000)):
+        with pytest.raises(BudgetExceededError) as err:
+            call(budget)
+        assert (err.value.required, err.value.budget) == (required, want)
+        assert str(err.value) == f"{what}, over the budget of {want}"
+
+
 def test_exhaustive_agrees_with_symbolic_targets():
     for k, n in ((1, 1), (2, 2), (2, 3), (4, 2), (6, 2)):
         target = exact_moment_target(RADEMACHER, k, n)
@@ -908,6 +964,21 @@ def test_determinant_table_matches_the_kernel(monkeypatch, inline_pool, law, poo
                 assert bits(fast) == bits(slow), (n, seed, k)
         assert tables.count(n) == (18 if s ** (n * n) <= sampling.BLOCK_SIZE else 0)
     assert starts == ([2] * 4 * 18 if pooled else [])
+
+
+@pytest.mark.parametrize("pooled", [False, True])
+@pytest.mark.parametrize("dist", [NORMAL, RADEMACHER, pm([-1, 0, 1])],
+                         ids=["normal", "rademacher", "uniform-3"])
+def test_a_draw_at_n_0_is_exactly_one(monkeypatch, inline_pool, dist, pooled):
+    # The empty matrix has det 1; a finite law reads it off a determinant
+    # table of one matrix with no cells.
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    starts = inline_pool()
+    if pooled:
+        monkeypatch.setattr(sampling, "_PARALLEL_THRESHOLD", 0)
+    report = mc_estimate(dist, 3, 0, samples=POOLED_SAMPLES, seed=1, workers=2)
+    assert (report.estimate, report.std_error, report.exact_target) == (1.0, 0.0, 1)
+    assert starts == ([2] if pooled else [])
 
 
 def test_mc_lands_near_known_targets():

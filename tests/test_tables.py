@@ -8,6 +8,7 @@ from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -583,3 +584,48 @@ def test_kernel_limits_are_refused_before_any_work(monkeypatch):
     # p(40) * 40!^2 tables do not fit a 64-bit index.
     with pytest.raises(ValueError, match="64-bit"):
         oracle_moment(3, 40, budget=10**200)
+
+
+# -- the decoder and grouped sum shared with the exhaustive average --------
+
+
+def decode(code, radices):
+    """Mixed-radix digits of ``code``, the last radix varying fastest."""
+    digits = []
+    for radix in reversed(radices):
+        code, digit = divmod(code, radix)
+        digits.append(digit)
+    return digits[::-1]
+
+
+def test_digits_match_a_pure_python_decoder():
+    # One radix, and none: n = 0 is one matrix of no entries, shape (0, 1).
+    cases = [(0, 1, ()), (0, 3, (5,))]
+    rng = random.Random(3)
+    for _ in range(200):
+        radices = tuple(rng.randint(1, 7) for _ in range(rng.randint(0, 6)))
+        start = rng.randint(0, prod(radices))
+        cases.append((start, rng.randint(start, prod(radices)), radices))
+    for start, stop, radices in cases:
+        got = tables._digits(start, stop, radices)
+        assert got.dtype == np.int64
+        assert got.shape == (len(radices), stop - start)
+        assert got.T.tolist() == [decode(code, radices) for code in range(start, stop)]
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_add_grouped_matches_a_dict_loop(dtype):
+    rng = random.Random(5)
+    big = 2**70 if dtype is object else 2**40
+    acc = {3: 1, -1: big}
+    want = dict(acc)
+    for _ in range(4):
+        keys = [rng.choice([-1, 0, 3, big, -big]) for _ in range(50)]
+        weights = [rng.randrange(-big, big) for _ in keys]
+        tables._add_grouped(
+            acc, np.array(keys, dtype=dtype), np.array(weights, dtype=dtype)
+        )
+        for key, weight in zip(keys, weights):
+            want[key] = want.get(key, 0) + weight
+    assert acc == want
+    assert all(type(key) is int and type(w) is int for key, w in acc.items())
