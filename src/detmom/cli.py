@@ -33,6 +33,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Sequence
 
 # Before `.sampling` imports numpy, which starts OpenBLAS (module docstring).
@@ -144,6 +145,13 @@ def _build_dist(args: argparse.Namespace) -> DistributionSpec:
     return DistributionSpec.discrete(values, probs)
 
 
+def _check_central_only(args: argparse.Namespace, what: str) -> None:
+    if not args.central_only:
+        raise UsageError(
+            f"the k=6 {what} assumes centered entries; acknowledge with --central-only"
+        )
+
+
 def _cmd_closed(args: argparse.Namespace) -> int:
     _check_kn(args.k, args.n)
     if args.gaussian:
@@ -155,55 +163,38 @@ def _cmd_closed(args: argparse.Namespace) -> int:
         else:
             print(value)
         return 0
-    if args.k == 2:
-        p = second_moment(args.n)
-    elif args.k == 4:
-        p = fourth_moment(args.n)
-    elif args.k == 6:
-        if not args.central_only:
-            raise UsageError(
-                "the k=6 closed form assumes centered entries; "
-                "acknowledge with --central-only"
-            )
-        p = sixth_moment_zero_mean(args.n)
-    else:
+    # Built per call, so a builder wrapped at run time is the one called.
+    forms = {2: second_moment, 4: fourth_moment, 6: sixth_moment_zero_mean}
+    if args.k not in forms:
         raise UsageError(
             "no closed form for k={}; supported: k=2, k=4, k=6 --central-only, "
             "or --gaussian for any even k".format(args.k)
         )
-    _print(_convert_basis(p, args.basis), args.format)
+    if args.k == 6:
+        _check_central_only(args, "closed form")
+    _print(_convert_basis(forms[args.k](args.n), args.basis), args.format)
     return 0
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
-    _check_kn(args.k or 2)
+    if args.k is not None:
+        _check_kn(args.k)
     if not 0 <= args.order <= MAX_SERIES_ORDER:
         raise UsageError(f"order must be between 0 and {MAX_SERIES_ORDER}")
-    which = args.which
-    if which is None:
-        if args.k == 2:
-            which = "f2"
-        elif args.k == 4:
-            which = "f4"
-        elif args.k == 6:
-            which = "f6"
-        else:
-            raise UsageError("series are available for k in {2, 4, 6} or via --which")
-    if which == "f2":
-        s = second_moment_egf(args.order)
-    elif which == "f4":
-        s = fourth_moment_egf(args.order)
-    elif which == "f6":
-        if not args.central_only:
-            raise UsageError(
-                "the k=6 series assumes centered entries; acknowledge with --central-only"
-            )
-        s = sixth_moment_zero_mean_egf(args.order)
-    elif which == "n6":
-        s = gaussian_sixth_egf(args.order)
-    else:
-        s = mark_class_egf(MarkClass(which), args.order)
-    _print(s, args.format)
+    # Built per call, as in `_cmd_closed`.
+    builders = {
+        "f2": second_moment_egf,
+        "f4": fourth_moment_egf,
+        "f6": sixth_moment_zero_mean_egf,
+        "n6": gaussian_sixth_egf,
+        **{m.value: partial(mark_class_egf, m) for m in MarkClass},
+    }
+    which = args.which or f"f{args.k}"
+    if which not in builders:
+        raise UsageError("series are available for k in {2, 4, 6} or via --which")
+    if which == "f6":
+        _check_central_only(args, "series")
+    _print(builders[which](args.order), args.format)
     return 0
 
 
@@ -320,8 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     pick.add_argument("--k", type=int, default=None)
     pick.add_argument(
         "--which",
-        choices=("f2", "f4", "f6", "n6", "mark0", "mark2",
-                 "mark4-single", "mark4-split", "mark4"),
+        choices=("f2", "f4", "f6", "n6", *(m.value for m in MarkClass)),
         default=None,
     )
     p.add_argument("--order", type=int, default=8)

@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import numbers
 import sys
-from collections import defaultdict
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -176,17 +175,21 @@ def _clean(terms: Terms) -> Terms:
     return {k: c if type(c) is int else _exact(c) for k, c in terms.items() if c}
 
 
-def _mul_terms(a: Terms, b: Terms) -> Terms:
-    """Product of two packed term maps; may hold zeros and integral Fractions."""
+def _mul_terms(a: Terms, b: Terms, out: Optional[Terms] = None, w: int = 1) -> Terms:
+    """Add ``w * a * b`` into ``out``, a new dict by default, and return it.
+
+    This is the one term-product loop: polynomial products, `sum_of_products`
+    and basis conversion all run through it.  The result may hold zeros and
+    integral Fractions.
+    """
+    if out is None:
+        out = {}
     if len(a) > len(b):
         a, b = b, a
-    if len(a) == 1:
-        ((k1, c1),) = a.items()
-        return {k1 + k2: c1 * c2 for k2, c2 in b.items()}
-    out: Terms = {}
     get = out.get
     b_items = list(b.items())
     for k1, c1 in a.items():
+        c1 *= w
         for k2, c2 in b_items:
             k = k1 + k2
             out[k] = get(k, 0) + c1 * c2
@@ -219,13 +222,15 @@ def sum_of_products(
 ) -> "MomentPolynomial":
     """``sum(w * a * b for w, a, b in triples) / divisor``, for int weights ``w``.
 
-    Every product is added into one term map, cleaned once at the end, where
-    ``acc = acc + w * a * b`` would build a polynomial per product and copy
-    the accumulator once per term.  Raises `BasisMismatchError` for an
-    operand of another basis and `OrderCapacityError` before any product
-    that could reach the packing limit.
+    Every product goes through the one term-product loop, `_mul_terms`, into
+    one term map, cleaned once at the end, where ``acc = acc + w * a * b``
+    would build a polynomial per product and copy the accumulator once per
+    term.  ``a * b`` for two polynomials is this sum with one triple.
+    Raises `BasisMismatchError` for an operand of another basis and
+    `OrderCapacityError` before any product that could reach the packing
+    limit.
     """
-    out: defaultdict[int, Rational] = defaultdict(int)
+    out: Terms = {}
     top = 0
     for w, a, b in triples:
         if a._basis is not basis or b._basis is not basis:
@@ -233,19 +238,12 @@ def sum_of_products(
                 f"cannot combine {a._basis.value} and {b._basis.value} polynomials "
                 f"into a {basis.value} sum"
             )
-        small, big = a._terms, b._terms
-        if not small or not big:
+        if not a._terms or not b._terms:
             continue
         weight = a._top + b._top
         _check_limit(weight)
         top = max(top, weight)
-        if len(small) > len(big):
-            small, big = big, small
-        big_items = list(big.items())
-        for k1, c1 in small.items():
-            c1 *= w
-            for k2, c2 in big_items:
-                out[k1 + k2] += c1 * c2
+        _mul_terms(a._terms, b._terms, out, w)
     if divisor == 1:
         terms = _clean(out)
     else:
@@ -406,9 +404,7 @@ class MomentPolynomial:
         p = self._coerce(other)
         if p is None:
             return NotImplemented
-        top = self._top + p._top
-        _check_limit(top)
-        return self._like(_clean(_mul_terms(self._terms, p._terms)), top)
+        return sum_of_products(self._basis, ((1, self, p),))
 
     __rmul__ = __mul__
 

@@ -34,7 +34,9 @@ With A the scaled input and every sum over j = 1..d:
                  structures) has integral scaled coefficients too.
 
 Each output coefficient is one call of `detmom.poly.sum_of_products`, which
-adds every weighted product into a single term map.
+adds every weighted product into a single term map through the one
+term-product loop, `detmom.poly._mul_terms`.  The series 1 is `_unit`, the
+start of `pow` and the P_0 of `compose`.
 """
 
 from __future__ import annotations
@@ -96,9 +98,12 @@ class TruncatedEGF:
     def basis(self) -> Basis:
         return self._s[0].basis
 
-    def coefficient(self, n: int) -> MomentPolynomial:
+    def _check_index(self, n: int) -> None:
         if not 0 <= n <= self.order:
             raise ValueError(f"coefficient {n} outside truncation order {self.order}")
+
+    def coefficient(self, n: int) -> MomentPolynomial:
+        self._check_index(n)
         return self.coeffs[n]
 
     def truncate(self, order: int) -> "TruncatedEGF":
@@ -116,12 +121,6 @@ class TruncatedEGF:
 
     def __repr__(self) -> str:
         return f"TruncatedEGF({list(self.coeffs)!r})"
-
-    def _zero_poly(self) -> MomentPolynomial:
-        return MomentPolynomial.zero(self.basis)
-
-    def _one_poly(self) -> MomentPolynomial:
-        return MomentPolynomial.constant(1, self.basis)
 
     # -- ring operations ---------------------------------------------------
 
@@ -149,8 +148,7 @@ class TruncatedEGF:
         """Integer power by repeated squaring; works for any constant term."""
         if exponent < 0:
             raise ValueError("series powers need a nonnegative exponent")
-        one = self._like((self._one_poly(),) + (self._zero_poly(),) * self.order)
-        return _power(self, exponent, one)
+        return _power(self, exponent, self._like(_unit(self.basis, self.order)))
 
     # -- species constructions (zero constant term required) ---------------
 
@@ -158,11 +156,14 @@ class TruncatedEGF:
         if not self._s[0].is_zero:
             raise ValueError(f"{op} requires a series with zero constant term")
 
-    def _recurrence(self, first: MomentPolynomial, shift: int, prior: Scaled | None) -> list:
-        """out_d = sum_j C(d - shift, j - shift) A_j R_{d-j}, R = ``prior`` or out."""
+    def _recurrence(self, first: int, shift: int, prior: Scaled | None) -> list:
+        """out_d = sum_j C(d - shift, j - shift) A_j R_{d-j}, R = ``prior`` or out.
+
+        ``first`` is the constant out_0: 1 or 0.
+        """
         a = self._s
         basis = self.basis
-        out = [first]
+        out = [MomentPolynomial.constant(first, basis)]
         r = out if prior is None else prior
         for d in range(1, len(a)):
             out.append(
@@ -177,17 +178,17 @@ class TruncatedEGF:
     def exp(self) -> "TruncatedEGF":
         """SET construction: formal exp via the derivative recurrence."""
         self._require_zero_constant("exp")
-        return self._like(self._recurrence(self._one_poly(), 1, None))
+        return self._like(self._recurrence(1, 1, None))
 
     def geometric(self) -> "TruncatedEGF":
         """SEQ construction: 1/(1 - a) via the convolution recurrence."""
         self._require_zero_constant("geometric")
-        return self._like(self._recurrence(self._one_poly(), 0, None))
+        return self._like(self._recurrence(1, 0, None))
 
     def log_geometric(self) -> "TruncatedEGF":
         """CYC construction: ln(1/(1 - a)), the formal log of `geometric`."""
         self._require_zero_constant("log_geometric")
-        return self._like(self._recurrence(self._zero_poly(), 1, self.geometric()._s))
+        return self._like(self._recurrence(0, 1, self.geometric()._s))
 
     def compose(self, inner: "TruncatedEGF") -> "TruncatedEGF":
         """Substitute ``inner`` (zero constant term) for t: sum_d S_d inner^d / d!."""
@@ -195,7 +196,7 @@ class TruncatedEGF:
         n = min(self.order, inner.order)
         basis = self.basis
         x = inner._s[: n + 1]
-        powers = [(self._one_poly(),) + (self._zero_poly(),) * n]  # P_0 = 1
+        powers = [_unit(basis, n)]  # P_0 = 1
         for d in range(1, n + 1):
             powers.append(_convolve(powers[-1], x, n, basis, divisor=d))
         s = self._s
@@ -208,8 +209,7 @@ class TruncatedEGF:
 
     def det_moment(self, n: int) -> MomentPolynomial:
         """Recover f_k(n) = n!^2 * [t^n] = n! * s_n."""
-        if not 0 <= n <= self.order:
-            raise ValueError(f"coefficient {n} outside truncation order {self.order}")
+        self._check_index(n)
         return factorial(n) * self._s[n]
 
     # -- presentation ------------------------------------------------------
@@ -226,6 +226,11 @@ class TruncatedEGF:
             "order": self.order,
             "coeffs": [[n, c.to_json_dict()] for n, c in self.to_pairs()],
         }
+
+
+def _unit(basis: Basis, order: int) -> Scaled:
+    """Scaled coefficients 0..order of the series 1."""
+    return (MomentPolynomial.constant(1, basis),) + (MomentPolynomial.zero(basis),) * order
 
 
 def _convolve(

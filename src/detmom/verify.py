@@ -232,23 +232,15 @@ def suite_series(
 ) -> VerificationReport:
     checks: list[CheckResult] = []
 
-    F2 = second_moment_egf(12)
-    for n in range(13):
-        checks.append(
-            _value_check(f"F_2 extraction n={n}", second_moment(n), F2.det_moment(n))
-        )
-    F4 = fourth_moment_egf(8)
-    for n in range(9):
-        checks.append(
-            _value_check(f"F_4 extraction n={n}", fourth_moment(n), F4.det_moment(n))
-        )
-    F6 = sixth_moment_zero_mean_egf(8)
-    for n in range(9):
-        checks.append(
-            _value_check(
-                f"F_6 extraction n={n}", sixth_moment_zero_mean(n), F6.det_moment(n)
+    for k, closed, F in (
+        (2, second_moment, second_moment_egf(12)),
+        (4, fourth_moment, fourth_moment_egf(8)),
+        (6, sixth_moment_zero_mean, sixth_moment_zero_mean_egf(8)),
+    ):
+        for n in range(F.order + 1):
+            checks.append(
+                _value_check(f"F_{k} extraction n={n}", closed(n), F.det_moment(n))
             )
-        )
 
     # Mark-class assembly at unit variance.
     order = 10

@@ -567,6 +567,14 @@ USAGE_ERRORS = [
      "--dist normal takes no --values or --probs"),
     (("exhaustive", "--dist", "rademacher", "--probs=1", "--k", "2", "--n", "2"),
      "--dist rademacher takes no --values or --probs"),
+    (("series", "--k", "0"), "k must be at least 1"),
+    (("series", "--which", "bogus"),
+     "argument --which: invalid choice: 'bogus' (choose from 'f2', 'f4', 'f6', "
+     "'n6', 'mark0', 'mark2', 'mark4-single', 'mark4-split', 'mark4')"),
+    (("closed", "--k", "6", "--n", "2"),
+     "the k=6 closed form assumes centered entries; acknowledge with --central-only"),
+    (("series", "--which", "f6"),
+     "the k=6 series assumes centered entries; acknowledge with --central-only"),
 ]
 
 

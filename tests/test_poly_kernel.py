@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detmom.errors import OrderCapacityError
+from detmom.errors import BasisMismatchError, OrderCapacityError
 from detmom.formulas import _d_factor, fourth_moment, second_moment, sixth_moment_zero_mean
 from detmom.poly import (
     DENSE_ORDER,
@@ -24,6 +24,7 @@ from detmom.poly import (
     MomentPolynomial,
     central_to_raw,
     raw_to_central,
+    sum_of_products,
 )
 
 WIDTH = DENSE_ORDER + 1
@@ -115,6 +116,35 @@ def test_ring_operations_match_reference(a_raw, b_raw):
     assert_same(a - b, ra - rb)
     assert_same(a * b, ra * rb)
     assert_same(3 * a - Fraction(1, 2), 3 * ra - Fraction(1, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-3, 3), pairs(), pairs()), max_size=4),
+    st.sampled_from((1, 2, 3, 6)),
+)
+def test_sum_of_products_matches_reference(triples, divisor):
+    got = sum_of_products(
+        Basis.RAW, [(w, build(a)[0], build(b)[0]) for w, a, b in triples], divisor
+    )
+    want = sum((w * Ref(a) * Ref(b) for w, a, b in triples), Ref())
+    assert_same(got, Fraction(1, divisor) * want)
+    assert got.basis is Basis.RAW
+
+
+def test_sum_of_products_refuses_mixed_bases_and_the_packing_limit():
+    raw = MomentPolynomial.monomial(1, {2: 1}, Basis.RAW)
+    central = MomentPolynomial.monomial(1, {2: 1}, Basis.CENTRAL)
+    with pytest.raises(BasisMismatchError):
+        sum_of_products(Basis.RAW, [(1, raw, raw), (1, raw, central)])
+    with pytest.raises(BasisMismatchError):
+        sum_of_products(Basis.RAW, [(1, central, central)])
+    top = MomentPolynomial.monomial(1, {1: WEIGHT_LIMIT - 1}, Basis.RAW)
+    m1 = MomentPolynomial.monomial(1, {1: 1}, Basis.RAW)
+    two = MomentPolynomial.constant(2, Basis.RAW)
+    assert sum_of_products(Basis.RAW, [(1, top, two)]) == 2 * top
+    with pytest.raises(OrderCapacityError):
+        sum_of_products(Basis.RAW, [(1, top, m1)])
 
 
 @settings(max_examples=50, deadline=None)

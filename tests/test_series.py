@@ -49,6 +49,17 @@ def test_coefficient_beyond_truncation_raises():
     s = rational_series([1, 2])
     with pytest.raises(ValueError):
         s.coefficient(5)
+    one = MomentPolynomial.constant(1, Basis.RAW)
+    for order in (0, 3):
+        s = geom_t(order)
+        for read in (s.coefficient, s.det_moment):
+            for n in (-1, order + 1):
+                with pytest.raises(ValueError, match=f"^coefficient {n} outside "
+                                                     f"truncation order {order}$"):
+                    read(n)
+        # Both ends of the range are read: every a_n of 1/(1 - t) is 1.
+        assert s.coefficient(0) == s.coefficient(order) == one
+        assert s.det_moment(order) == factorial(order) ** 2 * one
 
 
 def test_truncate_drops_high_coefficients():
@@ -98,6 +109,7 @@ def test_pow_matches_repeated_product():
 
 def test_pow_zero_is_one():
     assert numbers(geom_t(4).pow(0)) == [1, 0, 0, 0, 0]
+    assert geom_t(0).pow(0) == polynomial_in_t([1], 0, Basis.RAW)
 
 
 # -- exp, geometric, log ---------------------------------------------------
@@ -166,6 +178,13 @@ def test_compose_worked_example():
     # e^{2t} is e^t with t -> 2t.
     doubled = rational_series([0, 2], order=6)
     assert exp_t(6).compose(doubled) == exp_t(6) * exp_t(6)
+
+
+def test_compose_of_one_is_one():
+    # Series equality compares coefficients, and so their basis too.
+    for order in (0, 3):
+        one = polynomial_in_t([1], order, Basis.CENTRAL)
+        assert one.compose(polynomial_in_t([0, 2], order, Basis.CENTRAL)) == one
 
 
 def test_compose_requires_zero_constant_inner():
