@@ -115,6 +115,13 @@ def _print(result: MomentPolynomial | TruncatedEGF, fmt: str, *json_args) -> Non
         print(result.to_text())
 
 
+def _print_value(value: Fraction, fmt: str, **fields) -> None:
+    if fmt == "json":
+        _print_json({**fields, "value": str(value)})
+    else:
+        print(value)
+
+
 def _convert_basis(p: MomentPolynomial, target: Optional[str]) -> MomentPolynomial:
     if target is None:
         return p
@@ -157,11 +164,7 @@ def _cmd_closed(args: argparse.Namespace) -> int:
     if args.gaussian:
         if args.k % 2:
             raise UsageError("--gaussian needs an even k")
-        value = gaussian_det_moment(args.k, args.n)
-        if args.format == "json":
-            _print_json({"k": args.k, "n": args.n, "value": str(value)})
-        else:
-            print(value)
+        _print_value(gaussian_det_moment(args.k, args.n), args.format, k=args.k, n=args.n)
         return 0
     # Built per call, so a builder wrapped at run time is the one called.
     forms = {2: second_moment, 4: fourth_moment, 6: sixth_moment_zero_mean}
@@ -242,22 +245,15 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     if args.format == "json":
         _print_json(report.to_json_dict())
     else:
-        print(f"estimate   {report.estimate!r}")
-        print(f"std_error  {report.std_error!r}")
-        print(f"samples    {report.samples}")
-        print(f"seed       {report.seed}")
-        if report.exact_target is not None:
-            print(f"exact      {report.exact_target}")
+        for field, value in report.to_json_dict().items():
+            print(f"{field.removesuffix('_target'):<11}{value}")
     return 0
 
 
 def _cmd_exhaustive(args: argparse.Namespace) -> int:
     _check_kn(args.k, args.n)
     value = exhaustive_moment(_build_dist(args), args.k, args.n, budget=_budget(args))
-    if args.format == "json":
-        _print_json({"value": str(value)})
-    else:
-        print(value)
+    _print_value(value, args.format)
     return 0
 
 

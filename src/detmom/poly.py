@@ -568,36 +568,27 @@ def central_mean() -> MomentPolynomial:
 
 
 @lru_cache(maxsize=None)
-def _central_in_raw(r: int) -> MomentPolynomial:
-    # mu_r = sum_j C(r, j) m_j (-m_1)^(r-j), with m_0 = 1.
-    m1 = raw_symbol(1)
-    total = MomentPolynomial.zero(Basis.RAW)
-    for j in range(r + 1):
-        base = MomentPolynomial.constant(1, Basis.RAW) if j == 0 else raw_symbol(j)
-        total = total + comb(r, j) * (-1) ** (r - j) * base * m1 ** (r - j)
-    return total
+def _shifted(r: int, target: Basis) -> MomentPolynomial:
+    """The order-r symbol of the other basis, written in ``target``'s symbols.
 
-
-@lru_cache(maxsize=None)
-def _raw_in_central(r: int) -> MomentPolynomial:
-    # m_r = sum_j C(r, j) mu_j m_1^(r-j), with mu_0 = 1 and mu_1 = 0.
-    m1 = central_mean()
-    total = MomentPolynomial.zero(Basis.CENTRAL)
-    for j in range(r + 1):
-        if j == 1:
-            continue
-        base = (
-            MomentPolynomial.constant(1, Basis.CENTRAL) if j == 0 else central_symbol(j)
-        )
-        total = total + comb(r, j) * base * m1 ** (r - j)
-    return total
+    Both directions expand X = (X - m_1) + m_1 binomially, as
+    sum_j C(r, j) s_j c^(r-j) with s_0 = 1.  Into the raw basis,
+    (c, s_j) = (-m_1, m_j) gives mu_r; into the central basis,
+    (c, s_j) = (m_1, mu_j) gives m_r, with no j = 1 term since mu_1 = 0.
+    """
+    raw = target is Basis.RAW
+    c = MomentPolynomial.monomial(-1 if raw else 1, {1: 1}, target)
+    s = [MomentPolynomial.monomial(1, {j: 1} if j else {}, target) for j in range(r + 1)]
+    return sum_of_products(
+        target, ((comb(r, j), s[j], c ** (r - j)) for j in range(r + 1) if raw or j != 1)
+    )
 
 
 def _convert(p: MomentPolynomial, target: Basis) -> MomentPolynomial:
     # The mean sits in slot 0 in both bases and maps to itself; each order-r
-    # symbol (r >= 2) maps to its expansion E_r, a polynomial homogeneous of
-    # weight r, so the result keeps the weight bound of ``p``.
-    expand = _central_in_raw if target is Basis.RAW else _raw_in_central
+    # symbol (r >= 2) maps to its expansion E_r = `_shifted` (r, target), a
+    # polynomial homogeneous of weight r, so the result keeps the weight
+    # bound of ``p``.
 
     def horner(terms: Terms, slot: int) -> Terms:
         # ``terms`` use slots 0..slot only.  Write them as sum_e P_e * x^e in
@@ -612,7 +603,7 @@ def _convert(p: MomentPolynomial, target: Basis) -> MomentPolynomial:
             parts.setdefault(e, {})[key - (e << shift)] = coef
         if not any(parts):  # no term uses this slot
             return horner(terms, slot - 1)
-        base = expand(slot)._terms
+        base = _shifted(slot, target)._terms
         acc: Terms = {}
         for e in range(max(parts), -1, -1):
             if acc:

@@ -33,14 +33,17 @@ matrix's determinant once, in the order of the matrix codes that
 `tables._digits` decodes (`_det_table`); a block then only reads its
 matrices' codes off the drawn indices, looks up their determinants and
 counts them with `np.bincount`.
-Standard normal entries use floating LU determinants and compensated block
-summation; a sum that overflows float64 raises `OverflowError` instead of
-reporting ``inf``.
+Standard normal entries use floating LU determinants.  A sum that overflows
+float64 raises `OverflowError` instead of reporting ``inf``; a normal draw
+stops at the first block whose sums are not finite, since the merged sums
+cannot be finite after it.
 
 Reproducibility: samples are drawn in fixed-size blocks from a counter-based
-Philox generator keyed by (seed, block index), and block partials are merged
-in block order, so the result for a given seed is bit-for-bit identical for
-any worker count.  A block is drawn and its determinants taken in parts of
+Philox generator keyed by (seed, block index).  Each block gives its
+(sum of det^k, sum of det^2k), floats for normal entries and exact ints for
+a finite law, and both laws merge them in block order by one compensated
+sum (`_kahan_sum`, exact on ints), so the result for a given seed is
+bit-for-bit identical for any worker count.  A block is drawn and its determinants taken in parts of
 about `PART_ENTRIES` matrix entries (`_parts`), by consecutive calls on the
 block's generator, which give the same numbers as one call; the block's
 sums (or `np.unique` counts) then run over all of its determinants.  So
@@ -72,7 +75,7 @@ from .formulas import (
     gaussian_det_moment,
     gaussian_moment_table,
 )
-from .poly import Rational, _central_in_raw, _rational
+from .poly import Basis, Rational, _rational, _shifted
 from .pool import map_ranges
 from .tables import _add_grouped, _digits
 
@@ -174,10 +177,17 @@ def exact_det(rows: Sequence[Sequence[Rational]]) -> Fraction:
     n = len(rows)
     if n == 0:
         return Fraction(1)
-    fracs = [[Fraction(_rational(x)) for x in row] for row in rows]
-    scale = math.lcm(*(x.denominator for row in fracs for x in row))
-    ints = np.array([[int(x * scale) for x in row] for row in fracs], dtype=object)
-    return Fraction(int(_batch_int_det(ints.reshape(1, n, n))[0]), scale**n)
+    if any(len(row) != n for row in rows):
+        raise ValueError("exact_det needs a square matrix")
+    scale, ints = _common_denominator([Fraction(_rational(x)) for r in rows for x in r])
+    mats = np.array(ints, dtype=object).reshape(1, n, n)
+    return Fraction(int(_batch_int_det(mats)[0]), scale**n)
+
+
+def _common_denominator(fracs: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The lcm D of the denominators of ``fracs``, and each x * D, exact ints."""
+    d = math.lcm(*(x.denominator for x in fracs))
+    return d, [x.numerator * (d // x.denominator) for x in fracs]
 
 
 def _batch_int_det(mats: np.ndarray) -> np.ndarray:
@@ -295,8 +305,7 @@ def _integer_support(dist: DistributionSpec) -> tuple[int, np.ndarray]:
     (`_bareiss_bound` (2, top)), which holds the entries themselves; the
     kernel moves on to int64 or ``object`` from the step that needs it.
     """
-    scale = math.lcm(*(v.denominator for v in dist.values))
-    scaled = [v.numerator * (scale // v.denominator) for v in dist.values]
+    scale, scaled = _common_denominator(dist.values)
     top = max(map(abs, scaled))
     return scale, np.array(scaled, dtype=_step_dtype(_bareiss_bound(2, top)))
 
@@ -374,10 +383,9 @@ def exhaustive_moment(
         return Fraction(0)
 
     scale, support = _integer_support(dist)
-    denom = math.lcm(*(p.denominator for p in dist.probs))
+    denom, numer = _common_denominator(dist.probs)
     # All set weights together sum to at most denom^(n^2).
     dtype = np.int64 if denom**cells < 2**63 else object
-    numer = [p.numerator * (denom // p.denominator) for p in dist.probs]
     rows = _digits(0, s**n, (s,) * n).T
     row_weights = np.array(numer, dtype=dtype)[rows].prod(axis=1)
 
@@ -396,33 +404,35 @@ def exhaustive_moment(
 def exact_moment_target(dist: DistributionSpec, k: int, n: int) -> Optional[Fraction]:
     """Closed-form value of E[det(A)^k] when one of the formulas applies.
 
-    Covers k = 2 and 4 for any entry law, k = 6 for centered entries, and
-    any even k for standard normal entries; returns None otherwise (odd
-    moments beyond k = 1 have no known closed form).  Standard normal
-    entries with an even k take the Gaussian product form.  The other laws
-    run the closed forms of `detmom.formulas` on the law's exact moments
-    (central ones for k = 4, from the small cached expansions of
-    `detmom.poly._central_in_raw`), so the polynomial E[det^k] is never
-    built: O(n^2) rational operations.  On one core of a Xeon, k = 6 takes
+    Covers every odd k at n >= 2, where swapping two rows negates det^k so
+    the moment is 0; every k at n = 1, where it is the entry moment m_k;
+    k = 2 and 4 for any entry law, k = 6 for centered entries, and any even
+    k for standard normal entries.  Returns None otherwise: k = 6 with a
+    nonzero mean, and even k >= 8 for other laws.  Standard normal entries
+    with an even k take the Gaussian product form.  The other laws run the
+    closed forms of `detmom.formulas` on the law's exact moments (central
+    ones for k = 4, from the small cached expansions `detmom.poly._shifted`
+    (r, RAW)), so the polynomial E[det^k] is never built: O(n^2) rational
+    operations.  On one core of a Xeon, k = 6 takes
     about 0.1 s at n = 100 and 0.3 s at n = 200, and k = 4 about 0.02 s at
     n = 100.
     """
     _check_kn(k, n)
     if n == 0:
         return Fraction(1)
+    if k % 2 and n >= 2:
+        return Fraction(0)
     if dist.kind is DistKind.STD_NORMAL and k % 2 == 0:
         return gaussian_det_moment(k, n)
     m = exact_moments(dist, max(k, 6))
-    mean = m[1]
-    if k == 1:
-        # E[det A] = m_1^n * (sum of the signs of all permutations).
-        return mean if n == 1 else Fraction(0)
+    if n == 1:
+        return m[k]
     if k == 2:
-        return _second_moment(n, mean, m[2])
+        return _second_moment(n, m[1], m[2])
     if k == 4:
-        mu = [_central_in_raw(r).evaluate(m, mean) for r in (2, 3, 4)]
-        return _fourth_moment(n, mean, *mu)
-    if k == 6 and mean == 0:
+        mu = [_shifted(r, Basis.RAW).evaluate(m, m[1]) for r in (2, 3, 4)]
+        return _fourth_moment(n, m[1], *mu)
+    if k == 6 and m[1] == 0:
         return _sixth_moment_zero_mean(n, m[2], m[3], m[4], m[6])
     return None
 
@@ -491,26 +501,29 @@ def _block_draws(
             progress(b + 1 - lo, hi - lo)
 
 
-def _normal_blocks(
-    shared: tuple, lo: int, hi: int, progress=None
-) -> list[tuple[float, float]]:
-    """(sum of det^k, sum of det^2k) of each of the blocks lo .. hi-1."""
+def _normal_blocks(shared: tuple, lo: int, hi: int, progress=None) -> list[tuple]:
+    """(sum of det^k, sum of det^2k) of each of the blocks lo .. hi-1.
+
+    Stops after the first block whose sums are not finite: the merged sums
+    cannot be finite after it, and mc_estimate refuses them.
+    """
     seed, samples, n, k = shared
 
     def part(g: np.random.Generator, m: int) -> np.ndarray:
         return np.linalg.det(g.standard_normal((m, n, n)))
 
     out = []
-    # Overflow shows as a non-finite sum, which mc_estimate reports.
     with np.errstate(over="ignore", invalid="ignore"):
         for dets in _block_draws(seed, samples, n, lo, hi, part, progress):
             vals = dets**k
             out.append((float(np.sum(vals)), float(np.sum(vals * vals))))
+            if not all(map(math.isfinite, out[-1])):
+                break
     return out
 
 
-def _discrete_blocks(shared: tuple, lo: int, hi: int, progress=None) -> tuple[int, int]:
-    """Exact sums of det^k and det^2k over the blocks lo .. hi-1, support scaled."""
+def _discrete_blocks(shared: tuple, lo: int, hi: int, progress=None) -> list[tuple]:
+    """Exact (sum of det^k, sum of det^2k), support scaled, of each block lo .. hi-1."""
     seed, samples, n, k, support, cum, uniform, table = shared
     s = len(support)
     values, ids = table or (None, None)
@@ -529,24 +542,28 @@ def _discrete_blocks(shared: tuple, lo: int, hi: int, progress=None) -> tuple[in
             return _gather_dets(support, idx)
         return ids[idx.reshape(m, n * n) @ digits]
 
-    sx = 0
-    sxx = 0
+    out = []
     for keys in _block_draws(seed, samples, n, lo, hi, part, progress):
         if table is None:
             found, counts = np.unique(keys, return_counts=True)
             values = found.tolist()
         else:
             counts = np.bincount(keys, minlength=len(values))
+        sx = sxx = 0
         for d, c in zip(values, counts.tolist()):
             v = d**k
             sx += c * v
             sxx += c * v * v
-    return sx, sxx
+        out.append((sx, sxx))
+    return out
 
 
-def _kahan_sum(values: Iterable[float]) -> float:
-    total = 0.0
-    comp = 0.0
+def _kahan_sum(values: Iterable[Rational]) -> Rational:
+    """Compensated sum; exact on ints, where the compensation stays 0.
+
+    It starts from the int 0, so on floats every operation is the float one.
+    """
+    total = comp = 0
     for v in values:
         y = v - comp
         t = total + y
@@ -590,11 +607,7 @@ def mc_estimate(
     if samples * n**3 < _PARALLEL_THRESHOLD:
         workers = 1
     if dist.kind is DistKind.STD_NORMAL:
-        chunks = map_ranges(
-            _normal_blocks, (seed, samples, n, k), blocks, workers, progress
-        )
-        sum_x = _kahan_sum(x for chunk in chunks for x, _ in chunk)
-        sum_xx = _kahan_sum(xx for chunk in chunks for _, xx in chunk)
+        job, shared, denom = _normal_blocks, (seed, samples, n, k), 1
     else:
         scale, support = _integer_support(dist)
         uniform = len(set(dist.probs)) == 1
@@ -602,11 +615,11 @@ def mc_estimate(
         # Few enough matrices to take every determinant once (`_det_table`).
         small = len(support) ** (n * n) <= min(BLOCK_SIZE, samples)
         table = _det_table(support, n) if small else None
-        shared = (seed, samples, n, k, support, cum, uniform, table)
-        parts = map_ranges(_discrete_blocks, shared, blocks, workers, progress)
+        job, shared = _discrete_blocks, (seed, samples, n, k, support, cum, uniform, table)
         denom = Fraction(scale) ** (n * k)
-        sum_x = Fraction(sum(p[0] for p in parts)) / denom
-        sum_xx = Fraction(sum(p[1] for p in parts)) / denom**2
+    sums = [s for chunk in map_ranges(job, shared, blocks, workers, progress) for s in chunk]
+    sum_x = _kahan_sum(x for x, _ in sums) / denom
+    sum_xx = _kahan_sum(xx for _, xx in sums) / denom**2
 
     # Floats for normal entries, exact Fractions for a finite law, which
     # round only here.  A sum past float64 shows as inf or nan in a float,

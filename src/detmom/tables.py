@@ -180,19 +180,21 @@ def _weight_key(
     return tuple(exp)
 
 
-@dataclass(frozen=True)
-class PermutationTable:
-    """k rows, each a permutation of 0..n-1 (columns indexed by position)."""
+class _Table:
+    """The checks, ``k``, ``n`` and sign shared by the reference tables.
 
-    rows: tuple[tuple[int, ...], ...]
+    A subclass holds ``rows`` and reads each row's permutation with `_perms`.
+    """
+
+    def _perms(self) -> Sequence[tuple[int, ...]]:
+        return self.rows
 
     def __post_init__(self) -> None:
         if not self.rows:
             raise ValueError("a table needs at least one row")
-        n = len(self.rows[0])
-        object.__setattr__(
-            self, "rows", tuple(_check_perm(r, n) for r in self.rows)
-        )
+        n = self.n
+        for perm in self._perms():
+            _check_perm(perm, n)
 
     @property
     def k(self) -> int:
@@ -200,13 +202,24 @@ class PermutationTable:
 
     @property
     def n(self) -> int:
-        return len(self.rows[0])
+        return len(self._perms()[0])
 
     def sign(self) -> int:
         s = 1
-        for row in self.rows:
-            s *= permutation_sign(row)
+        for perm in self._perms():
+            s *= permutation_sign(perm)
         return s
+
+
+@dataclass(frozen=True)
+class PermutationTable(_Table):
+    """k rows, each a permutation of 0..n-1 (columns indexed by position)."""
+
+    rows: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
+        super().__post_init__()
 
     def weight(self) -> MomentPolynomial:
         """Product over columns of m_c per group of c equal values; raw basis."""
@@ -233,31 +246,13 @@ class MarkedRow:
 
 
 @dataclass(frozen=True)
-class MarkedTable:
+class MarkedTable(_Table):
     """k marked rows over the same column set."""
 
     rows: tuple[MarkedRow, ...]
 
-    def __post_init__(self) -> None:
-        if not self.rows:
-            raise ValueError("a table needs at least one row")
-        n = len(self.rows[0].values)
-        for r in self.rows:
-            _check_perm(r.values, n)
-
-    @property
-    def k(self) -> int:
-        return len(self.rows)
-
-    @property
-    def n(self) -> int:
-        return len(self.rows[0].values)
-
-    def sign(self) -> int:
-        s = 1
-        for row in self.rows:
-            s *= permutation_sign(row.values)
-        return s
+    def _perms(self) -> list[tuple[int, ...]]:
+        return [r.values for r in self.rows]
 
     def weight(self) -> MomentPolynomial:
         """Central-basis weight: m_1 per mark, mu_c per group of c unmarked values.

@@ -171,6 +171,33 @@ def test_json_wire_format_is_pinned(capsys, argv, want):
     assert (code, out, err) == (0, want + "\n", "")
 
 
+MC = ("mc", "--samples", "2000", "--seed", "7", "--workers", "1", "--n", "2")
+TEXT = [
+    (
+        (*MC, "--dist", "rademacher", "--k", "2"),
+        "estimate   2.034\nstd_error  0.044726079764557426\nsamples    2000\n"
+        "seed       7\nexact      2\n",
+    ),
+    # k = 6 with a nonzero mean has no exact target, so no "exact" line.
+    (
+        (*MC, "--dist", "discrete", "--values=0,1", "--probs=1/2,1/2", "--k", "6"),
+        "estimate   0.3865\nstd_error  0.010891197550868592\nsamples    2000\n"
+        "seed       7\n",
+    ),
+    (("closed", "--gaussian", "--k", "4", "--n", "3"), "360\n"),
+    (
+        ("exhaustive", "--dist", "discrete", "--values=-1,0,2", "--probs=1/2,1/3,1/6",
+         "--k", "4", "--n", "3"),
+        "83514167/139968\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, want", TEXT, ids=[" ".join(a) for a, _ in TEXT])
+def test_text_output_is_pinned(capsys, argv, want):
+    assert run(capsys, *argv) == (0, want, "")
+
+
 def test_json_reader_takes_a_narrow_document():
     doc = {
         "basis": "raw",

@@ -139,6 +139,21 @@ def test_exact_det_worked_examples():
     assert exact_det([[1, 2], [2, 4]]) == 0
 
 
+def test_exact_det_refuses_a_matrix_that_is_not_square():
+    for rows in ([[1, 2, 3], [4]], [[1, 2], [3, 4], [5, 6]], [[1, 2, 3], [4, 5, 6]]):
+        with pytest.raises(ValueError, match="square"):
+            exact_det(rows)
+
+
+@settings(max_examples=80)
+@given(st.lists(st.fractions(), max_size=8))
+def test_common_denominator_is_the_lcm_with_exact_numerators(fracs):
+    d, numer = sampling._common_denominator(fracs)
+    assert d == math.lcm(*(x.denominator for x in fracs))
+    assert len(numer) == len(fracs)
+    assert all(type(a) is int and Fraction(a, d) == x for a, x in zip(numer, fracs))
+
+
 def test_exact_det_pivots_past_leading_zeros():
     assert exact_det([[0, 1], [1, 0]]) == -1
     assert exact_det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
@@ -733,12 +748,12 @@ def test_normal_targets_build_no_polynomial(monkeypatch):
 
 
 def test_targets_unknown_cases_return_none():
-    # Odd k beyond the mean, and k = 6 with a nonzero mean, have no stored
-    # closed form.
+    # k = 6 with a nonzero mean has no stored closed form; an odd k at
+    # n >= 2 is 0, since a row swap negates det^k.
     lopsided = DistributionSpec.discrete(
         [Fraction(0), Fraction(1)], [Fraction(1, 2), Fraction(1, 2)]
     )
-    assert exact_moment_target(RADEMACHER, 3, 2) is None
+    assert exact_moment_target(RADEMACHER, 3, 2) == 0
     assert exact_moment_target(lopsided, 6, 2) is None
     assert exact_moment_target(lopsided, 4, 2) is not None
 
@@ -749,6 +764,38 @@ def test_first_power_target_is_determinant_of_the_mean_matrix():
     )
     assert exact_moment_target(lopsided, 1, 1) == Fraction(1, 2)
     assert exact_moment_target(lopsided, 1, 3) == 0
+
+
+def direct_moment(dist, k, n):
+    """E[det^k] summed over every n x n matrix over the law's support."""
+    total = Fraction(0)
+    for cells in itertools.product(list(zip(dist.values, dist.probs)), repeat=n * n):
+        rows = [[v for v, _ in cells[i * n:(i + 1) * n]] for i in range(n)]
+        total += math.prod(p for _, p in cells) * permanent_style_det(rows) ** k
+    return total
+
+
+@pytest.mark.parametrize("dist", [
+    RADEMACHER,
+    DistributionSpec.discrete([0, 1], [Fraction(1, 2)] * 2),
+    DistributionSpec.discrete([-1, 0, 2], [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]),
+], ids=["pm1", "0,1", "-1,0,2"])
+def test_targets_for_odd_k_and_n_1_equal_the_exhaustive_average(dist):
+    # At n = 1, E[det^k] is the entry moment m_k; an odd k at n >= 2 gives 0.
+    for k in range(1, 10):
+        for n in (1, 2, 3):
+            if k % 2 or n == 1:
+                want = exhaustive_moment(dist, k, n)
+                assert exact_moment_target(dist, k, n) == want, (k, n)
+                if n <= 2:
+                    assert want == direct_moment(dist, k, n), (k, n)
+
+
+def test_normal_targets_for_odd_k_and_n_1():
+    assert [exact_moment_target(NORMAL, k, 1) for k in range(1, 9)] == [
+        0, 1, 0, 3, 0, 15, 0, 105
+    ]
+    assert [exact_moment_target(NORMAL, k, 4) for k in (1, 3, 5, 7)] == [0] * 4
 
 
 # -- Monte-Carlo -----------------------------------------------------------
@@ -774,6 +821,39 @@ def pool_starts(monkeypatch):
 
 def bits(report):
     return report.estimate.hex(), report.std_error.hex()
+
+
+def test_kahan_sum_is_exact_on_ints():
+    total = sampling._kahan_sum([10**30, 1, -(10**30)])
+    assert total == 1 and type(total) is int
+
+
+@settings(max_examples=80)
+@given(st.lists(st.floats(), min_size=1, max_size=20))
+def test_kahan_sum_on_floats_is_the_float_algorithm(values):
+    total = comp = 0.0
+    for v in values:
+        y = v - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+    assert sampling._kahan_sum(values).hex() == total.hex()
+
+
+def test_a_normal_draw_stops_at_its_first_overflowing_block(monkeypatch):
+    # Sum det^12 passes float64 in block 0 at n = 60; the other 19 blocks
+    # could not make the merged sums finite again.
+    drawn = []
+    block_rng = sampling._block_rng
+
+    def recording(seed, block):
+        drawn.append(block)
+        return block_rng(seed, block)
+
+    monkeypatch.setattr(sampling, "_block_rng", recording)
+    with pytest.raises(OverflowError, match="overflow float64"):
+        mc_estimate(NORMAL, 6, 60, samples=20 * sampling.BLOCK_SIZE, workers=1)
+    assert drawn == [0]
 
 
 # More than one block, so a pool has blocks to split.
