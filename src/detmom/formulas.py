@@ -137,11 +137,7 @@ def gaussian_sixth_egf(order: int) -> TruncatedEGF:
     Its coefficients are gaussian_det_moment(6, n)/n!^2, i.e. F_6 with all
     moment dependence evaluated at standard normal entries.
     """
-    coeffs = [
-        MomentPolynomial.constant(Fraction(_gaussian_sixth(n)), Basis.RAW)
-        for n in range(order + 1)
-    ]
-    return TruncatedEGF(tuple(coeffs))
+    return polynomial_in_t([_gaussian_sixth(n) for n in range(order + 1)], order, Basis.RAW)
 
 
 def _gaussian_sixth(n: int) -> int:

@@ -430,7 +430,7 @@ class MomentPolynomial:
         A monomial of grading weight w is multiplied by (-1)^w, so a
         polynomial is invariant iff all its weights are even.
         """
-        return self._like({k: -c if w & 1 else c for w, k, _, c in _rows(self._terms)})
+        return self.scale_entries(-1)
 
     def scale_entries(self, c: Rational) -> "MomentPolynomial":
         """Image under X -> c*X: each monomial of weight w gains a factor c^w."""

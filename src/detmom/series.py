@@ -18,9 +18,9 @@ product of exponential generating functions is a binomial convolution of the
 scaled sequences, so the series that the formulas factor (and every series
 with integral scaled coefficients) stay in Python ints where a_n would be
 `Fraction`s (Flajolet & Sedgewick, *Analytic Combinatorics*, ch. II).  The
-plain coefficients `TruncatedEGF.coeffs` are derived, once, when asked for:
-a_n = s_n / n!, one exact division of each term of s_n by the int n!, which
-stays an int where it divides and becomes a `Fraction` only where not.
+plain coefficients `TruncatedEGF.coeffs` are derived on each request, not
+kept: a_n = s_n / n!, one exact division of each term of s_n by the int n!,
+which stays an int where it divides and becomes a `Fraction` only where not.
 With A the scaled input and every sum over j = 1..d:
 
 * product        (ab)_d = sum_{i=0..d} C(d, i) a_i b_{d-i};
@@ -59,7 +59,7 @@ class TruncatedEGF:
     t^0 .. t^order; the series stores n! * a_n (see the module docstring).
     """
 
-    __slots__ = ("_s", "_coeffs")
+    __slots__ = ("_s",)
 
     def __init__(self, coeffs: Sequence[MomentPolynomial]):
         coeffs = tuple(coeffs)
@@ -70,25 +70,19 @@ class TruncatedEGF:
             if c.basis is not basis:
                 raise ValueError("series coefficients must share a basis")
         self._s = tuple(factorial(n) * c for n, c in enumerate(coeffs))
-        self._coeffs = coeffs
 
     def _like(self, s: Iterable[MomentPolynomial]) -> "TruncatedEGF":
         """Trusted constructor from scaled coefficients of one basis."""
         series = object.__new__(TruncatedEGF)
         series._s = tuple(s)
-        series._coeffs = None
         return series
 
     # -- state -------------------------------------------------------------
 
     @property
     def coeffs(self) -> tuple[MomentPolynomial, ...]:
-        """The plain coefficients a_n = s_n / n!, derived on first use."""
-        if self._coeffs is None:
-            self._coeffs = tuple(
-                s if n < 2 else s._divided(factorial(n)) for n, s in enumerate(self._s)
-            )
-        return self._coeffs
+        """The plain coefficients a_n = s_n / n!, derived on each request."""
+        return tuple(map(self.coefficient, range(len(self._s))))
 
     @property
     def order(self) -> int:
@@ -104,7 +98,7 @@ class TruncatedEGF:
 
     def coefficient(self, n: int) -> MomentPolynomial:
         self._check_index(n)
-        return self.coeffs[n]
+        return self._s[n]._divided(factorial(n))
 
     def truncate(self, order: int) -> "TruncatedEGF":
         if order > self.order:

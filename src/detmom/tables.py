@@ -48,6 +48,11 @@ odd     p(n) (n!)^(k-1)         q(n) ((n+1) n!)^(k-1)
 
 out of (n!)^k plain and ((n+1) n!)^k marked tables in all.
 
+A row's options are the permutations of `itertools.permutations`, each
+with its `permutation_sign`, and in marked mode each also marked at one
+position by `_mask`; the pinned first row is the identity, marked the same
+way.  `_axes` turns each row's options into columns for the kernel.
+
 One block-vectorised kernel enumerates the tables, serially or in a pool.  A
 table is a flat mixed-radix index over the options of the k rows, and the
 indices run in blocks of `BLOCK_SIZE`; `pool.map_ranges` splits their range
@@ -75,6 +80,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from itertools import permutations
 from math import factorial, prod
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -119,8 +125,8 @@ ProgressFn = Callable[[int, int], None]
 # One choice for a table row: its values (a mark stored as _MARK) and the
 # row sign times the number of rows it stands for.
 Option = tuple[tuple[int, ...], int]
-# The options of a row as arrays: values (options, n) and row signs.
-RowOptions = tuple[np.ndarray, np.ndarray]
+# The options of a row as columns, an (n, options) array, and their weights.
+RowOptions = tuple[np.ndarray, tuple[int, ...]]
 
 
 def permutation_sign(perm: Sequence[int]) -> int:
@@ -272,42 +278,17 @@ def _value_dtype(n: int) -> type:
     return np.int8 if n < 128 else np.int16
 
 
-def _with_marks(values: np.ndarray, signs: np.ndarray, mode: TableMode) -> RowOptions:
-    """In marked mode, follow every row by its n copies marked at one position."""
+def _marked(options: list[Option], mode: TableMode) -> list[Option]:
+    """In marked mode, follow every option by its n copies marked at one position."""
     if mode is TableMode.PLAIN:
-        return values, signs
-    count, n = values.shape
-    out = np.repeat(values, n + 1, axis=0)
-    out.reshape(count, n + 1, n)[:, np.arange(1, n + 1), np.arange(n)] = _MARK
-    return out, np.repeat(signs, n + 1)
+        return options
+    return [(_mask(v, mark), s) for v, s in options for mark in (None, *range(len(v)))]
 
 
-def _row_options(n: int, mode: TableMode) -> RowOptions:
+def _row_options(n: int, mode: TableMode) -> list[Option]:
     """Every row: the n! permutations, in marked mode each also marked at
-    each position.
-
-    Built by inserting the values 0, 1, ..., n-1 in turn at every position:
-    value m put at position p lies before m - p smaller values, so it flips
-    the sign m - p times.
-    """
-    perms = np.zeros((1, 0), dtype=_value_dtype(n))
-    signs = np.ones(1, dtype=np.int8)
-    for m in range(n):
-        grown = np.empty((len(perms), m + 1, m + 1), dtype=perms.dtype)
-        for p in range(m + 1):
-            grown[:, p, :p] = perms[:, :p]
-            grown[:, p, p] = m
-            grown[:, p, p + 1:] = perms[:, p:]
-        flips = np.array([(-1) ** (m - p) for p in range(m + 1)], dtype=np.int8)
-        perms = grown.reshape(-1, m + 1)
-        signs = (signs[:, None] * flips).reshape(-1)
-    return _with_marks(perms, signs, mode)
-
-
-def _pinned_options(n: int, mode: TableMode) -> RowOptions:
-    """The first row pinned to the identity, marked at no or one position."""
-    identity = np.arange(n, dtype=_value_dtype(n)).reshape(1, n)
-    return _with_marks(identity, np.ones(1, dtype=np.int8), mode)
+    each position."""
+    return _marked([(p, permutation_sign(p)) for p in permutations(range(n))], mode)
 
 
 def _partitions(n: int, largest: Optional[int] = None) -> Iterator[tuple[int, ...]]:
@@ -385,26 +366,27 @@ def table_count(k: int, n: int, mode: TableMode) -> int:
     return pinned * orbits * per_row ** (k - 2)
 
 
-def _axes(
-    k: int, n: int, mode: TableMode
-) -> tuple[list[tuple[np.ndarray, Sequence[int]]], int]:
-    """The options of each of the k rows, and the orbit axis.
+def _axes(k: int, n: int, mode: TableMode) -> tuple[list[RowOptions], int]:
+    """The options of each of the k rows as columns, and the orbit axis.
 
-    A row's options are (values, weights): an (options, n) array of values,
-    a mark stored as ``_MARK``, and their row signs.  The partition axis,
-    row 2 when k is even and the first row is pinned and row 1 when k is
-    odd, runs over orbit representatives whose weights are their signed
-    orbit sizes (Python ints); its index is returned.  The n!-long options
-    of every row are built only when some row uses them.
+    A row's options are (columns, weights): an (n, options) array whose row
+    j holds column j of every option, a mark stored as ``_MARK``, and their
+    row signs.  The partition axis, row 2 when k is even and the first row
+    is pinned and row 1 when k is odd, runs over orbit representatives whose
+    weights are their signed orbit sizes (Python ints); its index is
+    returned.  The n!-long options of every row are built only when some row
+    uses them, once for all the rows that share them.
     """
+
+    def columns(options: list[Option]) -> RowOptions:
+        values, weights = zip(*options)
+        return np.ascontiguousarray(np.array(values, dtype=_value_dtype(n)).T), weights
+
     axis = 0 if k % 2 else 1
-    every_row = _row_options(n, mode) if k > axis + 1 else None
-    rows = [every_row] * k
+    rows = [columns(_row_options(n, mode)) if k > axis + 1 else None] * k
     if axis == 1:
-        rows[0] = _pinned_options(n, mode)
-    orbits = _orbit_options(n, mode)
-    values = np.array([v for v, _ in orbits], dtype=_value_dtype(n))
-    rows[axis] = (values.reshape(len(orbits), n), tuple(s for _, s in orbits))
+        rows[0] = columns(_marked([(tuple(range(n)), 1)], mode))
+    rows[axis] = columns(_orbit_options(n, mode))
     return rows, axis
 
 
@@ -524,18 +506,17 @@ def _check_kernel_limits(k: int, n: int, mode: TableMode, total: int) -> None:
 def _plan(k: int, n: int, mode: TableMode) -> _Plan:
     rows, orbit_axis = _axes(k, n, mode)
     layout = _key_layout(k, n)
-    columns: dict[int, np.ndarray] = {}
-    for values, _ in rows:
-        if id(values) not in columns:
-            columns[id(values)] = np.ascontiguousarray(values.T)
     marked = mode is TableMode.MARKED
     return _Plan(
         n=n,
-        radices=tuple(len(values) for values, _ in rows),
-        columns=tuple(columns[id(values)] for values, _ in rows),
-        signs=tuple((i, s) for i, (_, s) in enumerate(rows) if i != orbit_axis),
+        radices=tuple(columns.shape[1] for columns, _ in rows),
+        columns=tuple(columns for columns, _ in rows),
+        signs=tuple(
+            (i, np.array(s, dtype=np.int8))
+            for i, (_, s) in enumerate(rows) if i != orbit_axis
+        ),
         orbit_axis=orbit_axis,
-        weights=tuple(rows[orbit_axis][1]),
+        weights=rows[orbit_axis][1],
         layout=layout,
         key_lut=_column_lookup(k, marked, layout),
         marked=marked,

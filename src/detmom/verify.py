@@ -185,29 +185,19 @@ def suite_small(
         )
     )
 
-    for n in range(7):
-        got = oracle_moment(2, n, workers=workers)
-        checks.append(_value_check(f"oracle vs closed form, k=2 n={n}", second_moment(n), got))
-        checks.extend(_structure_checks(f"f_2({n})", got, 2, n))
-    for n in range(5):
-        got = oracle_moment(4, n, workers=workers)
-        checks.append(
-            _value_check(
-                f"oracle vs closed form, k=4 n={n}",
-                central_to_raw(fourth_moment(n)),
-                got,
-            )
-        )
-        checks.extend(_structure_checks(f"f_4({n})", got, 4, n))
-    for n in range(4):
-        got = oracle_moment(6, n, workers=workers).substitute(1, 0)
-        checks.append(
-            _value_check(
-                f"oracle vs closed form, k=6 n={n} (centered)",
-                sixth_moment_zero_mean(n),
-                got,
-            )
-        )
+    for k, sizes, closed, centred in (
+        (2, 7, second_moment, False),
+        (4, 5, lambda n: central_to_raw(fourth_moment(n)), False),
+        (6, 4, sixth_moment_zero_mean, True),
+    ):
+        for n in range(sizes):
+            got = oracle_moment(k, n, workers=workers)
+            if centred:
+                got = got.substitute(1, 0)
+            name = f"oracle vs closed form, k={k} n={n}" + (" (centered)" if centred else "")
+            checks.append(_value_check(name, closed(n), got))
+            if not centred:
+                checks.extend(_structure_checks(f"f_{k}({n})", got, k, n))
 
     rad = DistributionSpec.rademacher()
     checks.append(

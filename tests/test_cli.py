@@ -602,6 +602,14 @@ USAGE_ERRORS = [
      "the k=6 closed form assumes centered entries; acknowledge with --central-only"),
     (("series", "--which", "f6"),
      "the k=6 series assumes centered entries; acknowledge with --central-only"),
+    (("mc", "--dist", "rademacher", "--k", "2", "--n", "2", "--samples", "1"),
+     "need at least two samples for a standard error"),
+    (("exhaustive", "--dist", "discrete", "--values=1,2", "--probs=3/2,-1/2",
+      "--k", "2", "--n", "2"),
+     "probabilities must be nonnegative"),
+    (("exhaustive", "--dist", "discrete", "--values=1,2", "--probs=1",
+      "--k", "2", "--n", "2"),
+     "values and probs must be equal-length and nonempty"),
 ]
 
 

@@ -183,6 +183,15 @@ def test_scale_entries_is_graded_scaling():
 # -- substitution and evaluation -------------------------------------------
 
 
+def test_power_and_substitution_refusals():
+    with pytest.raises(
+        ValueError, match="^polynomial powers need a nonnegative integer exponent$"
+    ):
+        m(2) ** -1
+    with pytest.raises(ValueError, match="^no symbol of order 0$"):
+        m(2).substitute(0, 1)
+
+
 def test_substitute_kills_a_symbol():
     p = mono(1, {2: 2}) + mono(4, {1: 1, 3: 1})
     assert p.substitute(1, 0) == mono(1, {2: 2})

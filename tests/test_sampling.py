@@ -98,6 +98,11 @@ def test_values_must_be_distinct():
         DistributionSpec.discrete([1, 1], [Fraction(1, 2), Fraction(1, 2)])
 
 
+def test_the_normal_law_takes_no_support():
+    with pytest.raises(ValueError, match="^the normal distribution takes no support$"):
+        DistributionSpec(DistKind.STD_NORMAL, (1,), (1,))
+
+
 @pytest.mark.parametrize("inexact", [0.1, 1.0, np.float64(0.5)])
 def test_inexact_reals_are_refused(inexact):
     half = Fraction(1, 2)
@@ -137,6 +142,8 @@ def test_exact_det_worked_examples():
                       [Fraction(1, 4), Fraction(1, 5)]]) == Fraction(1, 60)
     assert exact_det([[5]]) == 5
     assert exact_det([[1, 2], [2, 4]]) == 0
+    # The empty product: the 0 x 0 determinant is 1.
+    assert exact_det([]) == 1
 
 
 def test_exact_det_refuses_a_matrix_that_is_not_square():

@@ -67,6 +67,22 @@ def test_truncate_drops_high_coefficients():
     assert numbers(s) == [1, 1, 1, 1]
 
 
+def test_construction_refusals():
+    with pytest.raises(ValueError, match="^a series needs at least the t\\^0 coefficient$"):
+        TruncatedEGF(())
+    raw, central = (MomentPolynomial.constant(1, basis) for basis in Basis)
+    with pytest.raises(ValueError, match="^series coefficients must share a basis$"):
+        TruncatedEGF((raw, central))
+    with pytest.raises(ValueError, match="^cannot extend a truncated series$"):
+        geom_t(3).truncate(4)
+    with pytest.raises(ValueError, match="^series powers need a nonnegative exponent$"):
+        geom_t(3).pow(-1)
+    with pytest.raises(
+        ValueError, match="^give at least one MomentPolynomial coefficient or a basis$"
+    ):
+        polynomial_in_t([1, 2], 3)
+
+
 def test_constant_series_and_t_times():
     one = polynomial_in_t([1], 3, Basis.RAW)
     assert numbers(one) == [1, 0, 0, 0]

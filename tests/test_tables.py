@@ -112,6 +112,14 @@ def test_rows_must_be_permutations():
         PermutationTable(((0, 0),))
     with pytest.raises(ValueError):
         PermutationTable(((0, 1), (0, 1, 2)))
+    with pytest.raises(ValueError, match="^a table needs at least one row$"):
+        PermutationTable(())
+
+
+def test_k_is_the_number_of_rows():
+    assert PermutationTable(((0, 1), (1, 0))).k == 2
+    assert MarkedTable((MarkedRow((0, 1), mark=0), MarkedRow((1, 0)), MarkedRow((0, 1)))).k == 3
+    assert MarkedTable((MarkedRow((0,), mark=0),)).k == 1
 
 
 # -- marked 4x9 tables worked by hand --------------------------------------
@@ -557,14 +565,14 @@ def test_conjugacy_matches_full_enumeration(k, n, mode):
 @pytest.mark.parametrize("mode", list(TableMode))
 def test_row_options_are_every_permutation_with_its_sign(mode):
     for n in range(7):
-        values, signs = tables._row_options(n, mode)
+        options = tables._row_options(n, mode)
         marks = (None,) if mode is TableMode.PLAIN else (None, *range(n))
         expected = sorted(
             (tuple(MARK if pos == mark else v for pos, v in enumerate(p)), inversion_parity(p))
             for p in itertools.permutations(range(n))
             for mark in marks
         )
-        assert sorted(zip(map(tuple, values.tolist()), signs.tolist())) == expected
+        assert sorted(options) == expected
 
 
 def test_orbit_weights_past_int64_stay_exact():
